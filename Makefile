@@ -12,8 +12,11 @@ GO ?= go
 
 check: vet maporder build test test-dist bench
 
+# perfbench is a module of its own, outside ./..., so it is vetted
+# separately: an internal API change that breaks the benchmark fails here.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 # maporder is the deterministic-output audit: no `for … range m` over
 # anything map-typed (type-checked, so function returns, struct fields, and

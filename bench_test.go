@@ -221,8 +221,9 @@ func BenchmarkFigure13(b *testing.B) {
 // 200-request population of CPI-like patterns under the paper's
 // asynchrony-penalized DTW: the serial fill vs the GOMAXPROCS worker pool
 // (the speedup target is ≥3× at GOMAXPROCS ≥ 4), plus the Sakoe-Chiba
-// banded fill. A one-time check asserts the parallel matrix is
-// element-for-element identical to the serial one.
+// banded fill. The unbanded legs report ns/cell, host time over the
+// Σ len_i·len_j DP cells of all pairs. A one-time check asserts the
+// parallel matrix is element-for-element identical to the serial one.
 func BenchmarkPairwiseMatrix(b *testing.B) {
 	const population = 200
 	g := sim.NewRNG(42)
@@ -241,6 +242,15 @@ func BenchmarkPairwiseMatrix(b *testing.B) {
 		seqs[i] = s
 	}
 	d := distance.DTW{AsyncPenalty: 0.5}
+	var cells float64
+	for i := range seqs {
+		for j := i + 1; j < population; j++ {
+			cells += float64(len(seqs[i]) * len(seqs[j]))
+		}
+	}
+	perCell := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(cells*float64(b.N)), "ns/cell")
+	}
 
 	serial := distance.NewMatrixFromSequences(seqs, d, distance.MatrixOptions{Workers: 1})
 	parallel := distance.NewMatrixFromSequences(seqs, d, distance.MatrixOptions{})
@@ -257,12 +267,14 @@ func BenchmarkPairwiseMatrix(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			distance.NewMatrixFromSequences(seqs, d, distance.MatrixOptions{Workers: 1})
 		}
+		perCell(b)
 	})
 	b.Run("parallel", func(b *testing.B) {
 		b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 		for i := 0; i < b.N; i++ {
 			distance.NewMatrixFromSequences(seqs, d, distance.MatrixOptions{})
 		}
+		perCell(b)
 	})
 	b.Run("parallel-banded", func(b *testing.B) {
 		banded := distance.DTW{AsyncPenalty: 0.5, Window: 8}

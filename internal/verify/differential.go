@@ -31,6 +31,7 @@ func Differentials() []Differential {
 	return []Differential{
 		{Name: "matrix/parallel-vs-serial", Check: checkMatrixParallel},
 		{Name: "dtw/banded-vs-exact", Check: checkDTWBand},
+		{Name: "dtw/blocked-vs-reference", Check: checkDTWBlocked},
 		{Name: "signature/session-vs-naive", Check: checkSessionNaive},
 		{Name: "signature/service-vs-naive", Check: checkServiceNaive},
 		{Name: "pastrequests/ring-vs-recompute", Check: checkPastRequests},
@@ -101,6 +102,69 @@ func checkDTWBand(seed int64) error {
 			e, b := exact.Distance(x, y), full.Distance(x, y)
 			if math.Float64bits(e) != math.Float64bits(b) {
 				return fmt.Errorf("pair (%d,%d) len (%d,%d): exact %v, full-band %v", i, j, len(x), len(y), e, b)
+			}
+		}
+	}
+	return nil
+}
+
+// referenceDTW is the unbanded DTW distance computed one DP row at a time,
+// the plain form of Equation 3 with the asynchrony penalty: each cell waits
+// on its left neighbour. distance.DTW fills several rows per sweep instead;
+// this loop is the oracle it must match bit for bit. Both inputs must be
+// non-empty.
+func referenceDTW(x, y []float64, penalty float64) float64 {
+	m, n := len(x), len(y)
+	prev, cur := make([]float64, n), make([]float64, n)
+	prev[0] = math.Abs(x[0] - y[0])
+	for j := 1; j < n; j++ {
+		prev[j] = prev[j-1] + math.Abs(x[0]-y[j]) + penalty
+	}
+	for i := 1; i < m; i++ {
+		cur[0] = prev[0] + math.Abs(x[i]-y[0]) + penalty
+		for j := 1; j < n; j++ {
+			diff := math.Abs(x[i] - y[j])
+			best := prev[j-1] + diff // synchronous step
+			if alt := prev[j] + diff + penalty; alt < best {
+				best = alt // advance x only
+			}
+			if alt := cur[j-1] + diff + penalty; alt < best {
+				best = alt // advance y only
+			}
+			cur[j] = best
+		}
+		prev, cur = cur, prev
+	}
+	return prev[n-1]
+}
+
+// checkDTWBlocked: the row-blocked exact kernel must be bit-identical to
+// the row-at-a-time reference for every pair of a random population under
+// a zero, a positive and a negative penalty. The first eight lengths are
+// 0–7, so every trial covers grids shorter than one block and every
+// remainder of rows modulo the block height; the rest reach 70.
+func checkDTWBlocked(seed int64) error {
+	r := rand.New(rand.NewSource(seed))
+	pool := make([][]float64, 12)
+	for i := range pool {
+		n := i
+		if i >= 8 {
+			n = r.Intn(71)
+		}
+		pool[i] = randSeq(r, n)
+	}
+	for _, penalty := range []float64{0, r.Float64(), -r.Float64()} {
+		d := distance.DTW{AsyncPenalty: penalty}
+		for i, x := range pool {
+			for j, y := range pool {
+				if len(x) == 0 || len(y) == 0 {
+					continue // early returns, covered by dtw/banded-vs-exact
+				}
+				got, want := d.Distance(x, y), referenceDTW(x, y, penalty)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					return fmt.Errorf("pair (%d,%d) len (%d,%d) penalty %v: blocked %v, reference %v",
+						i, j, len(x), len(y), penalty, got, want)
+				}
 			}
 		}
 	}

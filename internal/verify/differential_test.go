@@ -51,6 +51,7 @@ func TestDifferentialNamesAreStable(t *testing.T) {
 	want := map[string]bool{
 		"matrix/parallel-vs-serial":      true,
 		"dtw/banded-vs-exact":            true,
+		"dtw/blocked-vs-reference":       true,
 		"signature/session-vs-naive":     true,
 		"signature/service-vs-naive":     true,
 		"pastrequests/ring-vs-recompute": true,

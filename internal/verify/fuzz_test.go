@@ -30,35 +30,86 @@ func fuzzSeq(data []byte, maxLen int) []float64 {
 	return s
 }
 
-// FuzzDTW checks three DTW invariants for arbitrary sequences, penalties,
-// and band widths: a band covering the grid is bit-identical to the exact
-// distance; any band is an upper bound on it (paths are only forbidden,
-// never added); and the distance is symmetric.
+// fuzzSignedSeq decodes fuzz bytes into a bounded sequence over the whole
+// float64 range the kernel must agree with its reference on: each byte is
+// a signed sixteenth, except that 0x7f, 0x80 and 0x7e decode to +Inf, −Inf
+// and NaN.
+func fuzzSignedSeq(data []byte, maxLen int) []float64 {
+	if len(data) > maxLen {
+		data = data[:maxLen]
+	}
+	s := make([]float64, len(data))
+	for i, b := range data {
+		switch b {
+		case 0x7f:
+			s[i] = math.Inf(1)
+		case 0x80:
+			s[i] = math.Inf(-1)
+		case 0x7e:
+			s[i] = math.NaN()
+		default:
+			s[i] = float64(int8(b)) / 16
+		}
+	}
+	return s
+}
+
+// sameFloat reports whether a and b have the same bits or are both NaN.
+// Go leaves the payload of a NaN result unspecified: the compiler may
+// commute the operands of an addition, and x86 returns the first operand's
+// NaN, so two compilations of one expression can yield different NaN bits.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+}
+
+// FuzzDTW checks DTW invariants for arbitrary sequences, penalties, and
+// band widths: the row-blocked exact kernel is bit-identical to the
+// row-at-a-time reference; a band covering the grid is bit-identical to
+// the exact distance; and the distance is symmetric. Bit-identical is
+// checked with sameFloat, so NaN results need only both be NaN. The top bit
+// of window selects the signed decode, whose sequences hold negative
+// values, ±Inf and NaN and whose penalty may be negative. On the default
+// non-negative decode it also checks that any band is an upper bound on
+// the exact distance (paths are only forbidden, never added); with NaN or
+// infinite inputs that order is not defined.
 func FuzzDTW(f *testing.F) {
 	f.Add([]byte{0, 16, 32}, []byte{32, 16, 0}, uint8(1), uint8(8))
 	f.Add([]byte{}, []byte{200, 3}, uint8(0), uint8(0))
 	f.Add([]byte{5}, []byte{5, 5, 5, 5, 5, 5, 5, 5}, uint8(2), uint8(16))
 	f.Fuzz(func(t *testing.T, xb, yb []byte, window, penalty uint8) {
-		x, y := fuzzSeq(xb, 64), fuzzSeq(yb, 64)
-		pen := float64(penalty) / 32
+		signed := window&0x80 != 0
+		var x, y []float64
+		var pen float64
+		if signed {
+			x, y = fuzzSignedSeq(xb, 64), fuzzSignedSeq(yb, 64)
+			pen = float64(int8(penalty)) / 32
+		} else {
+			x, y = fuzzSeq(xb, 64), fuzzSeq(yb, 64)
+			pen = float64(penalty) / 32
+		}
 		exact := distance.DTW{AsyncPenalty: pen}
 		e := exact.Distance(x, y)
 
+		if len(x) > 0 && len(y) > 0 {
+			if r := referenceDTW(x, y, pen); !sameFloat(r, e) {
+				t.Fatalf("blocked %v != reference %v (len %d,%d)", e, r, len(x), len(y))
+			}
+		}
 		m := len(x)
 		if len(y) > m {
 			m = len(y)
 		}
 		full := distance.DTW{AsyncPenalty: pen, Window: m + 1}
-		if fb := full.Distance(x, y); math.Float64bits(fb) != math.Float64bits(e) {
+		if fb := full.Distance(x, y); !sameFloat(fb, e) {
 			t.Fatalf("full band (w=%d) %v != exact %v (len %d,%d)", m+1, fb, e, len(x), len(y))
 		}
-		if w := int(window); w > 0 {
+		if w := int(window); w > 0 && !signed {
 			banded := distance.DTW{AsyncPenalty: pen, Window: w}
 			if b := banded.Distance(x, y); b < e {
 				t.Fatalf("band w=%d produced %v below the unconstrained %v", w, b, e)
 			}
 		}
-		if s := exact.Distance(y, x); math.Float64bits(s) != math.Float64bits(e) {
+		if s := exact.Distance(y, x); !sameFloat(s, e) {
 			t.Fatalf("asymmetric: d(x,y)=%v d(y,x)=%v", e, s)
 		}
 	})
