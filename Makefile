@@ -38,17 +38,19 @@ test:
 test-dist:
 	$(GO) test -race ./internal/distributed/... ./internal/fault/...
 
-# GOMAXPROCS matrix leg: the concurrency-heavy packages must pass under the
-# race detector at both 1 and 4 procs — single-proc runs surface ordering
-# assumptions that parallel runs mask, and vice versa.
+# GOMAXPROCS matrix leg: the concurrency-heavy packages (the distributed
+# stack, the experiment fan-out, and the serve engine's and fleet's worker
+# pools) must pass under the race detector at both 1 and 4 procs —
+# single-proc runs surface ordering assumptions that parallel runs mask, and
+# vice versa.
 # -count=1 defeats the test cache: GOMAXPROCS is read by the runtime, not
 # the test binary, so cached results would silently satisfy both legs.
 # -timeout 20m: the experiments package fans out whole simulator runs per
 # test (the schedlab policy race most of all); serialized under -race at
 # GOMAXPROCS=1 the suite legitimately outgrows go test's 10m default.
 test-procs:
-	GOMAXPROCS=1 $(GO) test -race -count=1 -timeout 20m ./internal/distributed/... ./internal/experiments/...
-	GOMAXPROCS=4 $(GO) test -race -count=1 -timeout 20m ./internal/distributed/... ./internal/experiments/...
+	GOMAXPROCS=1 $(GO) test -race -count=1 -timeout 20m ./internal/distributed/... ./internal/experiments/... ./internal/serve/...
+	GOMAXPROCS=4 $(GO) test -race -count=1 -timeout 20m ./internal/distributed/... ./internal/experiments/... ./internal/serve/...
 
 # faults is the fault-injection smoke: a tiny labeled schedule through the
 # full faultanomaly pipeline — injection, retries/hedging on vs off, and

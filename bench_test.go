@@ -430,18 +430,18 @@ func BenchmarkAblationTopology(b *testing.B) {
 	threshold := sched.HighUsageThreshold(base.Store, 80)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run := func(policy core.PolicyKind) float64 {
+		run := func(policy string) float64 {
 			res, err := core.Run(core.Options{
 				App: app, Requests: 40, Sampling: core.DefaultSampling(app),
-				Policy: policy, UsageThreshold: threshold, Seed: 2,
+				PolicyName: policy, UsageThreshold: threshold, Seed: 2,
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
 			return stats.Percentile(res.Store.MetricValues(metrics.CPI), 99)
 		}
-		paper := run(core.PolicyContentionEasing)
-		topo := run(core.PolicyTopologyAware)
+		paper := run("contention-easing")
+		topo := run("topology-aware")
 		b.ReportMetric(paper/topo, "paper-vs-topo-p99")
 	}
 }

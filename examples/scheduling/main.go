@@ -30,12 +30,12 @@ func main() {
 	threshold := sched.HighUsageThreshold(calib.Store, 80)
 	fmt.Printf("high-usage threshold (80p of L2 misses/ins): %.2e\n\n", threshold)
 
-	run := func(policy core.PolicyKind) *core.Result {
+	run := func(policy string) *core.Result {
 		res, err := core.Run(core.Options{
 			App:              app,
 			Requests:         requests,
 			Sampling:         core.DefaultSampling(app),
-			Policy:           policy,
+			PolicyName:       policy,
 			UsageThreshold:   threshold,
 			MeterCoExecution: true,
 			Seed:             11,
@@ -46,8 +46,8 @@ func main() {
 		return res
 	}
 
-	base := run(core.PolicyRoundRobin)
-	eased := run(core.PolicyContentionEasing)
+	base := run("round-robin")
+	eased := run("contention-easing")
 
 	fmt.Println("proportion of time with cores simultaneously at high usage:")
 	fmt.Printf("  %-10s %-10s %s\n", "level", "original", "contention-easing")

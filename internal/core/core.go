@@ -30,68 +30,35 @@ import (
 
 // Validation and runtime failures returned by Run. All are sentinel values:
 // test with errors.Is; the error actually returned wraps the sentinel with
-// the offending value.
+// the offending value. A policy missing its signature bank fails with
+// sched.ErrNoBank.
 var (
 	// ErrNoApp reports a missing Options.App.
 	ErrNoApp = errors.New("core: Options.App is required")
 	// ErrNoRequests reports a non-positive Options.Requests.
 	ErrNoRequests = errors.New("core: Options.Requests must be positive")
-	// ErrBadCores reports a negative Options.Cores.
-	ErrBadCores = errors.New("core: Options.Cores must be non-negative")
 	// ErrBadTopology reports a machine layout that fails validation; the
 	// wrapped message names the offending topology field.
 	ErrBadTopology = errors.New("core: invalid machine topology")
 	// ErrBadConcurrency reports a negative Options.Concurrency.
 	ErrBadConcurrency = errors.New("core: Options.Concurrency must be non-negative")
 	// ErrBadThreshold reports a missing or non-positive UsageThreshold where
-	// one is required (adaptive policies, co-execution metering).
+	// one is required (adaptive policies, co-execution metering). A policy's
+	// own failure also wraps sched.ErrNoThreshold.
 	ErrBadThreshold = errors.New("core: a positive UsageThreshold is required")
-	// ErrUnknownPolicy reports a PolicyKind outside the declared constants.
+	// ErrUnknownPolicy reports a PolicyName missing from the sched registry.
 	ErrUnknownPolicy = errors.New("core: unknown policy")
 	// ErrStalled reports a run whose event queue drained before all
 	// requests completed (a workload/scheduler deadlock).
 	ErrStalled = errors.New("core: run stalled")
 )
 
-// PolicyKind selects the CPU scheduling policy for a run.
-type PolicyKind int
-
-const (
-	// PolicyRoundRobin is the baseline Linux-like scheduler.
-	PolicyRoundRobin PolicyKind = iota
-	// PolicyContentionEasing enables Section 5.2's adaptive scheduling.
-	PolicyContentionEasing
-	// PolicyTopologyAware enables the shared-cache-topology extension of
-	// the contention-easing policy (sched.TopologyAware).
-	PolicyTopologyAware
-)
-
-func (p PolicyKind) String() string {
-	switch p {
-	case PolicyRoundRobin:
-		return "round-robin"
-	case PolicyContentionEasing:
-		return "contention-easing"
-	case PolicyTopologyAware:
-		return "topology-aware"
-	default:
-		return fmt.Sprintf("PolicyKind(%d)", int(p))
-	}
-}
-
 // Options configures a workload run.
 type Options struct {
 	// App is the server application under study.
 	App workload.App
-	// Cores overrides the machine's core count (0 = the paper's 4).
-	//
-	// Deprecated: use WithTopology (or set Topology), which also expresses
-	// packages, per-package frequency, and cache capacity. A positive Cores
-	// builds the equivalent homogeneous topology; Topology wins when both
-	// are set.
-	Cores int
-	// Topology overrides the full machine layout (nil = the paper's
-	// 2×2-core box, or the deprecated Cores shim). Set with WithTopology.
+	// Topology overrides the machine layout (nil = the paper's 2×2-core
+	// box). Set with WithTopology.
 	Topology *machine.Topology
 	// Concurrency is the closed-loop client session count (0 = 2×cores,
 	// enough to keep every core busy with queued alternatives).
@@ -101,18 +68,16 @@ type Options struct {
 	// Sampling configures the tracker; the zero value means context-switch
 	// sampling only. Use DefaultSampling for the paper's per-app setup.
 	Sampling sampling.Config
-	// Policy selects the scheduler.
-	Policy PolicyKind
 	// PolicyName selects the scheduler from the sched package's policy
-	// registry by name (see sched.PolicyNames); when non-empty it wins over
-	// Policy. Registered adaptive policies need UsageThreshold, and the
-	// signature-driven ones (cluster-cosched, deadline) need SignatureBank.
+	// registry by name (see sched.PolicyNames; empty = round-robin).
+	// Adaptive policies need UsageThreshold, and the signature-driven ones
+	// (cluster-cosched, deadline) need SignatureBank.
 	PolicyName string
 	// SignatureBank is the application's signature bank, handed to
 	// registered policies that predict request properties online.
 	SignatureBank *signature.Bank
-	// UsageThreshold is the contention-easing high-usage threshold
-	// (required for PolicyContentionEasing; see sched.HighUsageThreshold).
+	// UsageThreshold is the high-usage threshold of the adaptive policies
+	// (see sched.HighUsageThreshold).
 	UsageThreshold float64
 	// MeterCoExecution enables the Figure 12 co-execution meter using
 	// UsageThreshold.
@@ -147,9 +112,8 @@ func WithSampling(cfg sampling.Config) Option {
 
 // WithTopology sets the machine layout for the run — package sizes,
 // per-package frequency scale and cache capacity, and clock rate (see
-// machine.Topology and machine.ParseTopology). It replaces the deprecated
-// Options.Cores override; a homogeneous topology of the same core count
-// produces bit-identical results.
+// machine.Topology and machine.ParseTopology); machine.Homogeneous builds
+// an n-core box.
 func WithTopology(t machine.Topology) Option {
 	return func(o *Options) { o.Topology = &t }
 }
@@ -172,23 +136,13 @@ func (o *Options) validate() error {
 	if o.Requests <= 0 {
 		return fmt.Errorf("%w, got %d", ErrNoRequests, o.Requests)
 	}
-	if o.Cores < 0 {
-		return fmt.Errorf("%w, got %d", ErrBadCores, o.Cores)
-	}
 	if o.Concurrency < 0 {
 		return fmt.Errorf("%w, got %d", ErrBadConcurrency, o.Concurrency)
-	}
-	switch o.Policy {
-	case PolicyRoundRobin, PolicyContentionEasing, PolicyTopologyAware:
-	default:
-		return fmt.Errorf("%w %d", ErrUnknownPolicy, o.Policy)
 	}
 	if o.PolicyName != "" {
 		if _, ok := sched.LookupPolicy(o.PolicyName); !ok {
 			return fmt.Errorf("%w %q (valid: %v)", ErrUnknownPolicy, o.PolicyName, sched.PolicyNames())
 		}
-	} else if o.Policy != PolicyRoundRobin && o.UsageThreshold <= 0 {
-		return fmt.Errorf("%w by policy %v, got %g", ErrBadThreshold, o.Policy, o.UsageThreshold)
 	}
 	if o.MeterCoExecution && o.UsageThreshold <= 0 {
 		return fmt.Errorf("%w by co-execution metering, got %g", ErrBadThreshold, o.UsageThreshold)
@@ -261,17 +215,8 @@ func Run(opts Options, extra ...Option) (*Result, error) {
 	if opts.NoSwitchPollution {
 		kcfg.PollutionOnSwitch = false
 	}
-	switch {
-	case opts.Topology != nil:
+	if opts.Topology != nil {
 		kcfg.Machine.Topology = *opts.Topology
-	case opts.Cores > 0:
-		// Deprecated-shim path: the homogeneous topology the old
-		// Cores/CoresPerPackage override produced.
-		per := kcfg.Machine.CoresPerPackage
-		if opts.Cores < per {
-			per = opts.Cores
-		}
-		kcfg.Machine.Topology = machine.Homogeneous(opts.Cores, per)
 	}
 	if err := kcfg.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadTopology, err)
@@ -286,34 +231,25 @@ func Run(opts Options, extra ...Option) (*Result, error) {
 	tk.SetObserver(col)
 
 	res := &Result{}
-	switch {
-	case opts.PolicyName != "":
-		// Registry path: build the named policy from a shared context, so
-		// every caller (experiments, differentials, CLIs) constructs the
-		// same policy from the same name. Factory errors (missing threshold
-		// or bank) surface before any simulation runs.
+	if opts.PolicyName != "" {
+		// Build the named policy from a shared context, so every caller
+		// (experiments, differentials, CLIs) constructs the same policy
+		// from the same name. Factory errors (missing threshold or bank)
+		// surface before any simulation runs.
 		pol, err := sched.NewPolicy(opts.PolicyName, &sched.PolicyContext{
 			Tracker:   tk,
 			Threshold: opts.UsageThreshold,
 			Bank:      opts.SignatureBank,
 		})
+		if errors.Is(err, sched.ErrNoThreshold) {
+			return nil, fmt.Errorf("%w: %w", ErrBadThreshold, err)
+		}
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: policy %s: %w", opts.PolicyName, err)
 		}
 		k.SetPolicy(pol)
 		if ce, ok := pol.(*sched.ContentionEasing); ok {
 			res.PolicyStats = ce
-		}
-	case opts.Policy != PolicyRoundRobin:
-		mon := sched.NewMonitor(tk, 0.6)
-		k.OnRequestDone(func(run *kernel.RequestRun) { mon.Forget(run) })
-		switch opts.Policy {
-		case PolicyContentionEasing:
-			pol := sched.NewContentionEasing(mon, opts.UsageThreshold)
-			k.SetPolicy(pol)
-			res.PolicyStats = pol
-		case PolicyTopologyAware:
-			k.SetPolicy(sched.NewTopologyAware(mon, opts.UsageThreshold))
 		}
 	}
 	var meter *sched.CoExecutionMeter

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sched"
@@ -21,14 +22,17 @@ func TestRunValidation(t *testing.T) {
 		{"missing app", Options{Requests: 1}, ErrNoApp},
 		{"zero requests", Options{App: web}, ErrNoRequests},
 		{"negative requests", Options{App: web, Requests: -3}, ErrNoRequests},
-		{"negative cores", Options{App: web, Requests: 1, Cores: -1}, ErrBadCores},
 		{"negative concurrency", Options{App: web, Requests: 1, Concurrency: -2}, ErrBadConcurrency},
 		{"policy without threshold", Options{App: web, Requests: 1,
-			Policy: PolicyContentionEasing}, ErrBadThreshold},
+			PolicyName: "contention-easing"}, ErrBadThreshold},
+		{"policy without threshold wraps sched", Options{App: web, Requests: 1,
+			PolicyName: "topology-aware"}, sched.ErrNoThreshold},
+		{"policy without bank", Options{App: web, Requests: 1,
+			PolicyName: "deadline"}, sched.ErrNoBank},
 		{"metering without threshold", Options{App: web, Requests: 1,
 			MeterCoExecution: true}, ErrBadThreshold},
 		{"unknown policy", Options{App: web, Requests: 1,
-			Policy: PolicyKind(99), UsageThreshold: 1}, ErrUnknownPolicy},
+			PolicyName: "fifo", UsageThreshold: 1}, ErrUnknownPolicy},
 	}
 	for _, tc := range cases {
 		_, err := Run(tc.opts)
@@ -90,8 +94,8 @@ func TestRunOptionsApply(t *testing.T) {
 
 func TestRunSerialVsConcurrent(t *testing.T) {
 	app := workload.NewTPCH()
-	serial, err := Run(Options{App: app, Cores: 1, Concurrency: 1, Requests: 15,
-		Sampling: DefaultSampling(app), Seed: 1})
+	serial, err := Run(Options{App: app, Concurrency: 1, Requests: 15,
+		Sampling: DefaultSampling(app), Seed: 1}, WithTopology(machine.Homogeneous(1, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +121,7 @@ func TestRunWithContentionEasing(t *testing.T) {
 	}
 	threshold := sched.HighUsageThreshold(base.Store, 80)
 	eased, err := Run(Options{App: app, Requests: 20, Sampling: DefaultSampling(app),
-		Policy: PolicyContentionEasing, UsageThreshold: threshold,
+		PolicyName: "contention-easing", UsageThreshold: threshold,
 		MeterCoExecution: true, Seed: 2})
 	if err != nil {
 		t.Fatal(err)

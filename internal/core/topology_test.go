@@ -22,53 +22,20 @@ func fingerprintRun(t *testing.T, res *Result) []float64 {
 	return out
 }
 
-// TestCoresShimEquivalence is the deprecated-alias golden test: a run with
-// Options.Cores must be bit-identical to the same run with WithTopology of
-// the equivalent homogeneous layout.
-func TestCoresShimEquivalence(t *testing.T) {
-	for _, cores := range []int{1, 2, 6} {
-		app := workload.NewTPCC()
-		viaCores, err := Run(Options{App: app, Cores: cores, Requests: 12,
-			Sampling: DefaultSampling(app), Seed: 5})
-		if err != nil {
-			t.Fatalf("cores=%d: %v", cores, err)
-		}
-		per := 2
-		if cores < per {
-			per = cores
-		}
-		viaTopo, err := Run(Options{App: app, Requests: 12,
-			Sampling: DefaultSampling(app), Seed: 5},
-			WithTopology(machine.Homogeneous(cores, per)))
-		if err != nil {
-			t.Fatalf("topology(%d): %v", cores, err)
-		}
-		a, b := fingerprintRun(t, viaCores), fingerprintRun(t, viaTopo)
-		if len(a) != len(b) {
-			t.Fatalf("cores=%d: fingerprint lengths %d != %d", cores, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("cores=%d: fingerprint diverges at %d: %v != %v", cores, i, a[i], b[i])
-			}
-		}
-	}
-}
-
-// TestTopologyWinsOverCores checks precedence: WithTopology overrides the
-// deprecated Cores field when both are set.
-func TestTopologyWinsOverCores(t *testing.T) {
+// TestTopologyClockSlowsRun: a half-clock topology runs the same load
+// slower than the nominal-clock box of the same shape.
+func TestTopologyClockSlowsRun(t *testing.T) {
 	app := workload.NewWebServer()
+	opts := Options{App: app, Concurrency: 1, Requests: 4, Seed: 1}
 	halfClock := machine.Topology{
 		Packages:    []machine.PackageSpec{{Cores: 1, FreqScale: 1}},
 		CyclesPerNs: 1.5,
 	}
-	res, err := Run(Options{App: app, Cores: 1, Concurrency: 1, Requests: 4, Seed: 1},
-		WithTopology(halfClock))
+	res, err := Run(opts, WithTopology(halfClock))
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo, err := Run(Options{App: app, Cores: 1, Concurrency: 1, Requests: 4, Seed: 1})
+	solo, err := Run(opts, WithTopology(machine.Homogeneous(1, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +54,10 @@ func TestRunRejectsBadTopology(t *testing.T) {
 	if !strings.Contains(err.Error(), "FreqScale") {
 		t.Fatalf("error should name the offending field: %v", err)
 	}
-	// The deprecated shim surfaces uneven layouts as errors too (they used
-	// to panic in machine.New): Cores=3 now builds packages [2 1], which is
-	// valid, so it must run.
-	if _, err := Run(Options{App: app, Requests: 1, Seed: 1, Cores: 3}); err != nil {
-		t.Fatalf("Cores=3 should now run on an uneven topology, got %v", err)
+	// An uneven layout — packages [2 1] — is valid, so it must run.
+	if _, err := Run(Options{App: app, Requests: 1, Seed: 1},
+		WithTopology(machine.Homogeneous(3, 2))); err != nil {
+		t.Fatalf("Homogeneous(3, 2) should run on an uneven topology, got %v", err)
 	}
 }
 

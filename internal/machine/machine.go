@@ -66,34 +66,18 @@ func DefaultObserver() ObserverConfig {
 
 // Config describes the machine topology and cost model.
 type Config struct {
-	// Cores and CoresPerPackage describe a homogeneous layout.
-	//
-	// Deprecated: set Topology instead, which also expresses heterogeneous
-	// package sizes, per-package frequency scale, and per-package cache
-	// capacity. When Topology has packages, these two fields are ignored.
-	Cores           int
-	CoresPerPackage int
 	// CyclesPerNs is the nominal clock rate (3.0 for the paper's 3 GHz
 	// Xeon 5160). Topology.CyclesPerNs, when positive, overrides it.
 	CyclesPerNs float64
 	Cache       cache.Config
 	Observer    ObserverConfig
-	// Topology, when non-empty, is the authoritative package/core layout.
+	// Topology is the package/core layout (Homogeneous builds an n-core
+	// box).
 	Topology Topology
 }
 
-// EffectiveTopology resolves the configured layout: Topology when set,
-// otherwise the homogeneous layout the deprecated Cores/CoresPerPackage
-// pair expresses.
-func (c Config) EffectiveTopology() Topology {
-	if len(c.Topology.Packages) > 0 {
-		return c.Topology
-	}
-	return Homogeneous(c.Cores, c.CoresPerPackage)
-}
-
-// NumCores returns the resolved total core count.
-func (c Config) NumCores() int { return c.EffectiveTopology().NumCores() }
+// NumCores returns the total core count.
+func (c Config) NumCores() int { return c.Topology.NumCores() }
 
 // clock returns the resolved cycles-per-ns rate.
 func (c Config) clock() float64 {
@@ -107,28 +91,17 @@ func (c Config) clock() float64 {
 // shared 4 MB L2 per package.
 func DefaultConfig() Config {
 	return Config{
-		Cores:           4,
-		CoresPerPackage: 2,
-		CyclesPerNs:     3.0,
-		Cache:           cache.DefaultConfig(),
-		Observer:        DefaultObserver(),
+		CyclesPerNs: 3.0,
+		Cache:       cache.DefaultConfig(),
+		Observer:    DefaultObserver(),
+		Topology:    DefaultTopology(),
 	}
 }
 
 // Validate reports configuration errors, naming the offending field.
 func (c Config) Validate() error {
-	if len(c.Topology.Packages) > 0 {
-		if err := c.Topology.Validate(); err != nil {
-			return err
-		}
-	} else {
-		if c.Cores <= 0 {
-			return fmt.Errorf("machine: Cores must be positive, got %d", c.Cores)
-		}
-		if c.CoresPerPackage <= 0 || c.Cores%c.CoresPerPackage != 0 {
-			return fmt.Errorf("machine: Cores (%d) must be a multiple of CoresPerPackage (%d)",
-				c.Cores, c.CoresPerPackage)
-		}
+	if err := c.Topology.Validate(); err != nil {
+		return err
 	}
 	if c.clock() <= 0 {
 		return fmt.Errorf("machine: CyclesPerNs must be positive, got %v", c.clock())
@@ -218,7 +191,7 @@ func New(eng *sim.Engine, cfg Config) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	m := &Machine{eng: eng, cfg: cfg, topo: cfg.EffectiveTopology(),
+	m := &Machine{eng: eng, cfg: cfg, topo: cfg.Topology,
 		clock: cfg.clock(), penaltyFactor: 1, freqScale: 1}
 	maxPkgCores := 0
 	for p, ps := range m.topo.Packages {

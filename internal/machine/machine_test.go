@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -29,14 +30,14 @@ func run(eng *sim.Engine, d sim.Time) {
 
 func TestConfigValidate(t *testing.T) {
 	bad := DefaultConfig()
-	bad.Cores = 0
-	if bad.Validate() == nil {
-		t.Fatal("zero cores should be invalid")
+	bad.Topology = Topology{}
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "Topology") {
+		t.Fatalf("empty topology: err = %v, want one naming Topology", err)
 	}
 	bad = DefaultConfig()
-	bad.Cores = 5 // not a multiple of 2 per package
+	bad.Topology = Homogeneous(0, 2)
 	if bad.Validate() == nil {
-		t.Fatal("non-multiple core count should be invalid")
+		t.Fatal("zero cores should be invalid")
 	}
 	bad = DefaultConfig()
 	bad.CyclesPerNs = 0

@@ -55,9 +55,8 @@ func DefaultTopology() Topology {
 }
 
 // Homogeneous returns a topology of cores/perPackage identical packages at
-// nominal frequency — the shape the deprecated Cores/CoresPerPackage pair
-// expressed. cores must be a positive multiple of perPackage; Validate
-// reports the violation otherwise.
+// nominal frequency; a remainder becomes a short last package. A
+// non-positive cores count yields a package Validate rejects.
 func Homogeneous(cores, perPackage int) Topology {
 	if perPackage <= 0 {
 		perPackage = 1
@@ -89,8 +88,8 @@ func (t Topology) NumCores() int {
 func (t Topology) NumPackages() int { return len(t.Packages) }
 
 // Homogeneous reports whether every package has the same core count, a
-// nominal frequency scale, and no cache override — the layouts the legacy
-// Cores/CoresPerPackage pair could express.
+// nominal frequency scale, and no cache override — the layouts
+// Homogeneous builds.
 func (t Topology) Homogeneous() bool {
 	for _, p := range t.Packages {
 		if p.Cores != t.Packages[0].Cores || p.FreqScale != 1 || p.CacheMB != 0 {

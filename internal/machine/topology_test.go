@@ -144,8 +144,8 @@ func TestParseFleetRoundTrip(t *testing.T) {
 
 func TestConfigTopologyResolution(t *testing.T) {
 	cfg := DefaultConfig()
-	if !cfg.EffectiveTopology().Equal(DefaultTopology()) {
-		t.Fatalf("default config topology = %+v", cfg.EffectiveTopology())
+	if !cfg.Topology.Equal(DefaultTopology()) {
+		t.Fatalf("default config topology = %+v", cfg.Topology)
 	}
 	if cfg.NumCores() != 4 {
 		t.Fatalf("default NumCores = %d", cfg.NumCores())
@@ -160,7 +160,6 @@ func TestConfigTopologyResolution(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Topology errors win over (now ignored) legacy fields.
 	cfg.Topology.Packages[0].Cores = 0
 	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "Packages[0].Cores") {
 		t.Fatalf("Validate = %v", err)
@@ -221,10 +220,12 @@ func TestHeterogeneousMachine(t *testing.T) {
 	}
 }
 
+// TestHomogeneousTopologyMatchesLegacyConfig: the paper's default box is
+// the homogeneous four-core, two-per-package layout, rate for rate.
 func TestHomogeneousTopologyMatchesLegacyConfig(t *testing.T) {
 	legacy := DefaultConfig()
 	topoCfg := DefaultConfig()
-	topoCfg.Topology = DefaultTopology()
+	topoCfg.Topology = Homogeneous(4, 2)
 
 	run := func(cfg Config) []Rate {
 		eng := sim.NewEngine()

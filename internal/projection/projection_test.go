@@ -136,9 +136,9 @@ func TestProjectionAgainstSimulation(t *testing.T) {
 	// Solo 1-core runs give contention-free traces, the regime where
 	// per-period inversion of the cost model is exact.
 	src, err := core.Run(core.Options{
-		App: workload.NewTPCC(), Cores: 1, Concurrency: 1, Requests: 40,
+		App: workload.NewTPCC(), Concurrency: 1, Requests: 40,
 		Sampling: core.DefaultSampling(workload.NewTPCC()), Seed: 5,
-	})
+	}, core.WithTopology(machine.Homogeneous(1, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}

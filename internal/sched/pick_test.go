@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -262,18 +263,23 @@ func TestPolicyRegistry(t *testing.T) {
 	k := kernel.New(eng, kernel.DefaultConfig())
 	tk := sampling.NewTracker(k, sampling.Config{})
 	for _, tc := range []struct {
-		policy string
-		ctx    *PolicyContext
-		want   string
+		policy   string
+		ctx      *PolicyContext
+		want     string
+		sentinel error // nil: no sentinel for this failure
 	}{
-		{"contention-easing", &PolicyContext{Tracker: tk}, "threshold"},
-		{"topology-aware", &PolicyContext{Tracker: tk}, "threshold"},
-		{"contention-easing", &PolicyContext{Threshold: 1}, "tracker"},
-		{"cluster-cosched", &PolicyContext{Tracker: tk, Threshold: 1}, "signature bank"},
-		{"deadline", &PolicyContext{Tracker: tk}, "signature bank"},
+		{"contention-easing", &PolicyContext{Tracker: tk}, "threshold", ErrNoThreshold},
+		{"topology-aware", &PolicyContext{Tracker: tk}, "threshold", ErrNoThreshold},
+		{"contention-easing", &PolicyContext{Threshold: 1}, "tracker", nil},
+		{"cluster-cosched", &PolicyContext{Tracker: tk, Threshold: 1}, "signature bank", ErrNoBank},
+		{"deadline", &PolicyContext{Tracker: tk}, "signature bank", ErrNoBank},
 	} {
-		if _, err := NewPolicy(tc.policy, tc.ctx); err == nil || !strings.Contains(err.Error(), tc.want) {
+		_, err := NewPolicy(tc.policy, tc.ctx)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want %q", tc.policy, err, tc.want)
+		}
+		if tc.sentinel != nil && !errors.Is(err, tc.sentinel) {
+			t.Errorf("%s: err = %v, not errors.Is %v", tc.policy, err, tc.sentinel)
 		}
 	}
 

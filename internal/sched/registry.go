@@ -12,12 +12,25 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
 	"repro/internal/kernel"
 	"repro/internal/sampling"
 	"repro/internal/signature"
+)
+
+// Factory failures for a context missing a policy's inputs. Test with
+// errors.Is; the error actually returned wraps the sentinel with the policy
+// name.
+var (
+	// ErrNoThreshold reports a missing or non-positive Threshold for a
+	// policy that classifies high usage.
+	ErrNoThreshold = errors.New("sched: policy requires a positive usage threshold")
+	// ErrNoBank reports a missing or empty Bank for a signature-driven
+	// policy.
+	ErrNoBank = errors.New("sched: policy requires a non-empty signature bank")
 )
 
 // PolicyContext bundles the inputs a policy factory may draw on. Tracker is
@@ -62,7 +75,7 @@ func (c *PolicyContext) sessions() (*SignatureSessions, error) {
 			return nil, fmt.Errorf("sched: policy requires a sampling tracker")
 		}
 		if c.Bank == nil || len(c.Bank.Entries) == 0 {
-			return nil, fmt.Errorf("sched: policy requires a non-empty signature bank")
+			return nil, ErrNoBank
 		}
 		c.Sessions = NewSignatureSessions(c.Tracker, c.Bank)
 	}
@@ -72,7 +85,7 @@ func (c *PolicyContext) sessions() (*SignatureSessions, error) {
 // threshold validates the context's high-usage threshold.
 func (c *PolicyContext) threshold(policy string) (float64, error) {
 	if c.Threshold <= 0 {
-		return 0, fmt.Errorf("sched: policy %s requires a positive usage threshold, got %g", policy, c.Threshold)
+		return 0, fmt.Errorf("%w (%s, got %g)", ErrNoThreshold, policy, c.Threshold)
 	}
 	return c.Threshold, nil
 }

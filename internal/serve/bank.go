@@ -1,0 +1,278 @@
+// Bank maintenance: the paper's online loop run over a sliding window.
+// One bankMaintainer serves the single-node engine and every fleet node.
+// It keeps the window ring of recent completions and, every compaction,
+// rematerializes the window's patterns, reclusters them with k-medoids
+// over a pooled distance matrix, rebuilds the signature bank from the
+// medoids, and recalibrates the anomaly threshold against the new bank.
+// The fleet's merge step installs a merged bank through the same rebuild.
+// Everything runs in preallocated scratch, so a steady-state compaction
+// allocates nothing.
+package serve
+
+import (
+	"fmt"
+	"math"
+	"sort"
+
+	"repro/internal/anomaly"
+	"repro/internal/cluster"
+	"repro/internal/distance"
+	"repro/internal/metrics"
+	"repro/internal/obs"
+	"repro/internal/signature"
+	"repro/internal/sim"
+	"repro/internal/workload"
+)
+
+// minWindowFill is the smallest window occupancy worth compacting:
+// clustering a handful of requests would thrash the bank.
+const minWindowFill = 32
+
+// winRec is one completed request in the sliding window — the compact form
+// from which compaction rematerializes the full pattern (a pure function
+// of these fields and the template library).
+type winRec struct {
+	app    int32
+	tmpl   int32
+	cohort int32 // arrival cohort (always 0 on the single-node engine)
+	anom   bool
+	drift  float64
+	cpuNs  float64
+}
+
+// bankKnobs are the maintainer's settings, shared by Config and
+// FleetConfig under the same field names.
+type bankKnobs struct {
+	WindowSize, BankK, MaxPatternLen         int
+	CalibrationQuantile, CalibrationHeadroom float64
+}
+
+// validate names the offending field after prefix ("serve: " or
+// "serve: FleetConfig.").
+func (k bankKnobs) validate(prefix string) error {
+	switch {
+	case k.MaxPatternLen <= 0:
+		return fmt.Errorf("%sMaxPatternLen must be positive, got %d", prefix, k.MaxPatternLen)
+	case k.WindowSize <= 1:
+		return fmt.Errorf("%sWindowSize must exceed 1, got %d", prefix, k.WindowSize)
+	case k.BankK <= 0:
+		return fmt.Errorf("%sBankK must be positive, got %d", prefix, k.BankK)
+	case !(k.CalibrationQuantile >= 0 && k.CalibrationQuantile <= 1):
+		return fmt.Errorf("%sCalibrationQuantile must be in [0,1], got %v", prefix, k.CalibrationQuantile)
+	case !(k.CalibrationHeadroom > 0):
+		return fmt.Errorf("%sCalibrationHeadroom must be positive, got %v", prefix, k.CalibrationHeadroom)
+	}
+	return nil
+}
+
+// bankMaintainer owns one signature bank and the window that feeds it.
+// It runs only in its owner's serial phase; the parallel phase reads bank
+// and threshold without writing them.
+type bankMaintainer struct {
+	knobs bankKnobs
+	tmpl  [][]template
+	apps  []workload.StreamApp
+	// seed is the RNG base: compaction c reseeds k-medoids with seed+c.
+	seed int64
+
+	bank *signature.Bank
+	// threshold is the calibrated anomaly threshold on identification
+	// scores (+Inf until the first calibration).
+	threshold float64
+
+	// Window ring of recent completions.
+	win     []winRec
+	winLen  int
+	winHead int
+
+	// Pooled scratch. pats[0:winLen] holds the rematerialized window
+	// patterns (oldest first) with their costs and types; pairFn is bound
+	// once so the per-compaction Fill call allocates no closure.
+	pats    [][]float64
+	cpuOf   []float64
+	typeOf  []string
+	dm      distance.Matrix
+	pairFn  distance.PairFunc
+	csc     cluster.Scratch
+	rng     *sim.RNG
+	scores  []float64
+	cpus    []float64
+	patBufs [][]float64
+
+	compactions, recalibrations   uint64
+	cCompactions, cRecalibrations *obs.Counter
+}
+
+// newBankMaintainer builds a maintainer whose bank starts as the template
+// library itself — every template of every mix app, in app-then-template
+// order — so identification and CPU prediction work from tick zero. The
+// anomaly threshold stays +Inf until the first calibration. installCap is
+// the most candidates a merged-bank install will offer (0 when the owner
+// never installs one); the cost scratch covers it too.
+func newBankMaintainer(k bankKnobs, tmpl [][]template, apps []workload.StreamApp, seed int64, installCap int) *bankMaintainer {
+	b := &bankMaintainer{
+		knobs:     k,
+		tmpl:      tmpl,
+		apps:      apps,
+		seed:      seed,
+		bank:      &signature.Bank{Metric: metrics.L2RefsPerIns},
+		threshold: math.Inf(1),
+		win:       make([]winRec, k.WindowSize),
+		rng:       sim.NewRNG(0),
+	}
+	// Pattern scratch is preallocated at the hard length cap so window
+	// rematerialization and bank rebuilds never grow a buffer mid-run.
+	b.pats = make([][]float64, k.WindowSize)
+	for i := range b.pats {
+		b.pats[i] = make([]float64, 0, k.MaxPatternLen)
+	}
+	b.patBufs = make([][]float64, k.BankK)
+	for i := range b.patBufs {
+		b.patBufs[i] = make([]float64, 0, k.MaxPatternLen)
+	}
+	b.cpuOf = make([]float64, k.WindowSize)
+	b.typeOf = make([]string, k.WindowSize)
+	b.scores = make([]float64, 0, k.WindowSize)
+	b.cpus = make([]float64, 0, max(k.WindowSize, installCap))
+	b.pairFn = func(i, j int) float64 {
+		return signature.PatternDistance(b.pats[i], b.pats[j])
+	}
+	for ai := range tmpl {
+		for t := range tmpl[ai] {
+			tm := &tmpl[ai][t]
+			b.bank.Entries = append(b.bank.Entries, signature.Entry{
+				Pattern:   tm.pattern,
+				Average:   meanOf(tm.pattern),
+				CPUTimeNs: tm.cpuNs,
+				Type:      apps[ai].Name,
+			})
+			b.cpus = append(b.cpus, tm.cpuNs)
+		}
+	}
+	b.bank.ThresholdNs = medianInPlace(b.cpus)
+	b.cpus = b.cpus[:0]
+	return b
+}
+
+// record appends completions to the window ring, evicting the oldest once
+// it is full.
+func (b *bankMaintainer) record(recs []winRec) {
+	for _, rec := range recs {
+		b.win[b.winHead] = rec
+		b.winHead++
+		if b.winHead == len(b.win) {
+			b.winHead = 0
+		}
+		if b.winLen < len(b.win) {
+			b.winLen++
+		}
+	}
+}
+
+// at returns window record i, i ∈ [0, winLen), oldest first.
+func (b *bankMaintainer) at(i int) *winRec {
+	idx := b.winHead - b.winLen + i
+	if idx < 0 {
+		idx += len(b.win)
+	}
+	return &b.win[idx]
+}
+
+// compact runs one bank rebuild + recalibration cycle and reports whether
+// it rebuilt the bank. A window below minWindowFill skips the rebuild but
+// still recalibrates, so thresholds track drift even under light traffic.
+func (b *bankMaintainer) compact() bool {
+	if b.winLen < minWindowFill {
+		if b.winLen > 0 {
+			b.recalibrate()
+		}
+		return false
+	}
+	b.materialize()
+	// One fill worker: compaction runs in the serial phase, and spawning a
+	// pool would allocate.
+	b.dm.Fill(b.winLen, b.pairFn, distance.MatrixOptions{Workers: 1})
+	b.rng.Reseed(b.seed + int64(b.compactions))
+	cres := b.csc.KMedoids(&b.dm, cluster.Config{K: min(b.knobs.BankK, b.winLen), Rand: b.rng})
+	b.install(cres.Medoids, b.pats, b.cpuOf[:b.winLen], b.typeOf)
+	b.compactions++
+	b.cCompactions.Add(1)
+	return true
+}
+
+// install rebuilds the bank from the medoids of a candidate set — each
+// candidate's pattern, solo CPU cost and type — in medoid order, sets the
+// high-usage threshold to the median cost over all candidates, and
+// recalibrates. Entry patterns copy into per-slot buffers, so the
+// candidate storage may be reused afterwards.
+func (b *bankMaintainer) install(medoids []int, pats [][]float64, cpus []float64, types []string) {
+	b.bank.Entries = b.bank.Entries[:0]
+	for c, m := range medoids {
+		b.patBufs[c] = append(b.patBufs[c][:0], pats[m]...)
+		b.bank.Entries = append(b.bank.Entries, signature.Entry{
+			Pattern:   b.patBufs[c],
+			Average:   meanOf(b.patBufs[c]),
+			CPUTimeNs: cpus[m],
+			Type:      types[m],
+		})
+	}
+	b.cpus = append(b.cpus[:0], cpus...)
+	b.bank.ThresholdNs = medianInPlace(b.cpus)
+	b.recalibrate()
+}
+
+// materialize rematerializes every window record's full pattern, cost and
+// type into pooled buffers (index 0 is the oldest record).
+func (b *bankMaintainer) materialize() {
+	for i := 0; i < b.winLen; i++ {
+		rec := b.at(i)
+		tmpl := b.tmpl[rec.app][rec.tmpl].pattern
+		buf := b.pats[i][:0]
+		for j := range tmpl {
+			buf = append(buf, patternValue(tmpl, j, rec.drift, rec.anom))
+		}
+		b.pats[i] = buf
+		b.cpuOf[i] = rec.cpuNs
+		b.typeOf[i] = b.apps[rec.app].Name
+	}
+}
+
+// recalibrate rescores the window against the current bank and resets the
+// anomaly threshold to the calibration quantile of those scores.
+func (b *bankMaintainer) recalibrate() {
+	b.materialize()
+	b.scores = b.scores[:0]
+	for i := 0; i < b.winLen; i++ {
+		_, dist := b.bank.IdentifyPatternScored(b.pats[i])
+		b.scores = append(b.scores, dist/float64(len(b.pats[i])))
+	}
+	b.threshold = anomaly.Calibrate(b.scores, b.knobs.CalibrationQuantile, b.knobs.CalibrationHeadroom)
+	b.recalibrations++
+	b.cRecalibrations.Add(1)
+}
+
+// meanOf returns the arithmetic mean (0 for an empty slice).
+func meanOf(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var s float64
+	for _, x := range xs {
+		s += x
+	}
+	return s / float64(len(xs))
+}
+
+// medianInPlace sorts xs and returns its median (0 for empty) — the
+// paper's bank threshold, computed without the stats package's copy.
+func medianInPlace(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
+}

@@ -1,0 +1,151 @@
+package serve
+
+import (
+	"math"
+	"runtime"
+	"testing"
+)
+
+// newTestMaintainer builds a maintainer over the templates cfg's stream
+// and template knobs produce.
+func newTestMaintainer(t *testing.T, cfg Config, seed int64, installCap int) *bankMaintainer {
+	t.Helper()
+	tmpl, err := buildTemplates(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newBankMaintainer(cfg.bankKnobs(), tmpl, cfg.Stream.Apps, seed, installCap)
+}
+
+// syntheticRecs returns n window records cycling over every template, with
+// a drift and an injected anomaly now and then, so compaction has varied
+// patterns to cluster.
+func syntheticRecs(b *bankMaintainer, n int) []winRec {
+	recs := make([]winRec, n)
+	for i := range recs {
+		app := i % len(b.tmpl)
+		t := (i / len(b.tmpl)) % len(b.tmpl[app])
+		recs[i] = winRec{
+			app:   int32(app),
+			tmpl:  int32(t),
+			anom:  i%37 == 0,
+			drift: 1 + float64(i%11)/100,
+			cpuNs: b.tmpl[app][t].cpuNs * (1 + float64(i%7)/50),
+		}
+	}
+	return recs
+}
+
+// TestBankWindowOldestFirst: after the ring wraps, at(i) walks the last
+// WindowSize records oldest first.
+func TestBankWindowOldestFirst(t *testing.T) {
+	cfg := DefaultConfig(1)
+	cfg.WindowSize = 5
+	b := newTestMaintainer(t, cfg, 1, 0)
+	recs := make([]winRec, 13)
+	for i := range recs {
+		recs[i].cpuNs = float64(i)
+	}
+	b.record(recs[:4])
+	b.record(recs[4:])
+	if b.winLen != cfg.WindowSize {
+		t.Fatalf("winLen = %d, want %d", b.winLen, cfg.WindowSize)
+	}
+	for i := 0; i < b.winLen; i++ {
+		if got, want := b.at(i).cpuNs, float64(len(recs)-cfg.WindowSize+i); got != want {
+			t.Fatalf("at(%d) = record %v, want %v", i, got, want)
+		}
+	}
+}
+
+// TestBankSparseWindowRecalibratesOnly: a window below minWindowFill keeps
+// the template bank but still recalibrates the threshold.
+func TestBankSparseWindowRecalibratesOnly(t *testing.T) {
+	b := newTestMaintainer(t, DefaultConfig(1), 1, 0)
+	entries := len(b.bank.Entries)
+	b.record(syntheticRecs(b, minWindowFill-1))
+	if b.compact() {
+		t.Fatal("compact rebuilt the bank from a sparse window")
+	}
+	if b.compactions != 0 || b.recalibrations != 1 {
+		t.Fatalf("compactions %d, recalibrations %d; want 0, 1", b.compactions, b.recalibrations)
+	}
+	if len(b.bank.Entries) != entries {
+		t.Fatalf("bank has %d entries, want the %d templates", len(b.bank.Entries), entries)
+	}
+	if math.IsInf(b.threshold, 1) {
+		t.Fatal("threshold not calibrated")
+	}
+
+	b.record(syntheticRecs(b, minWindowFill))
+	if !b.compact() || b.compactions != 1 || len(b.bank.Entries) != b.knobs.BankK {
+		t.Fatalf("full window: compactions %d, %d entries", b.compactions, len(b.bank.Entries))
+	}
+}
+
+// mallocsOnce counts the heap allocations of one call to f. Unlike
+// testing.AllocsPerRun it has no warm-up call, so it also catches scratch
+// that grows on first use.
+func mallocsOnce(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestBankMaintenanceAllocs: compaction allocates nothing once its matrix
+// and k-medoids scratch have grown, and a merged-bank install allocates
+// nothing even the first time, at the engine's scratch sizes and at a
+// fleet node's (whose installs offer a whole fleet's concatenated banks).
+func TestBankMaintenanceAllocs(t *testing.T) {
+	fc := smallFleetConfig(1)
+	fleetCfg := Config{
+		Stream:              fc.Stream,
+		TemplatesPerApp:     fc.TemplatesPerApp,
+		MaxPatternLen:       fc.MaxPatternLen,
+		WindowSize:          fc.WindowSize,
+		BankK:               fc.BankK,
+		CalibrationQuantile: fc.CalibrationQuantile,
+		CalibrationHeadroom: fc.CalibrationHeadroom,
+	}
+	fleetCap := max(len(fc.Nodes)*fc.BankK, fc.TemplatesPerApp*len(fc.Stream.Apps)*len(fc.Nodes))
+	for _, tc := range []struct {
+		name       string
+		cfg        Config
+		installCap int
+	}{
+		{"engine", DefaultConfig(1), 0},
+		{"fleet-node", fleetCfg, fleetCap},
+	} {
+		b := newTestMaintainer(t, tc.cfg, 3, tc.installCap)
+		b.record(syntheticRecs(b, 3*tc.cfg.WindowSize))
+		b.compact() // grows the matrix and k-medoids scratch once
+		if allocs := testing.AllocsPerRun(5, func() { b.compact() }); allocs != 0 {
+			t.Errorf("%s: compact allocates %v, want 0", tc.name, allocs)
+		}
+
+		// Candidates as a merge offers them: patterns, costs and types,
+		// as many as the owner's largest install.
+		n := max(tc.cfg.WindowSize, tc.installCap)
+		pats := make([][]float64, n)
+		cpus := make([]float64, n)
+		types := make([]string, n)
+		for i, r := range syntheticRecs(b, n) {
+			pats[i] = b.tmpl[r.app][r.tmpl].pattern
+			cpus[i] = r.cpuNs
+			types[i] = b.apps[r.app].Name
+		}
+		medoids := make([]int, tc.cfg.BankK)
+		for c := range medoids {
+			medoids[c] = c * (n / len(medoids))
+		}
+		if allocs := mallocsOnce(func() { b.install(medoids, pats, cpus, types) }); allocs != 0 {
+			t.Errorf("%s: install allocates %v, want 0", tc.name, allocs)
+		}
+		if len(b.bank.Entries) != tc.cfg.BankK || b.bank.Entries[1].Type != types[medoids[1]] {
+			t.Errorf("%s: installed bank %d entries, entry 1 type %q", tc.name, len(b.bank.Entries), b.bank.Entries[1].Type)
+		}
+	}
+}

@@ -164,23 +164,11 @@ func (c Config) normalize() (Config, error) {
 	if c.TemplatesPerApp <= 0 {
 		return c, fmt.Errorf("serve: TemplatesPerApp must be positive, got %d", c.TemplatesPerApp)
 	}
-	if c.MaxPatternLen <= 0 {
-		return c, fmt.Errorf("serve: MaxPatternLen must be positive, got %d", c.MaxPatternLen)
-	}
-	if c.WindowSize <= 1 {
-		return c, fmt.Errorf("serve: WindowSize must exceed 1, got %d", c.WindowSize)
+	if err := c.bankKnobs().validate("serve: "); err != nil {
+		return c, err
 	}
 	if c.CompactTicks <= 0 {
 		return c, fmt.Errorf("serve: CompactTicks must be positive, got %d", c.CompactTicks)
-	}
-	if c.BankK <= 0 {
-		return c, fmt.Errorf("serve: BankK must be positive, got %d", c.BankK)
-	}
-	if !(c.CalibrationQuantile >= 0 && c.CalibrationQuantile <= 1) {
-		return c, fmt.Errorf("serve: CalibrationQuantile must be in [0,1], got %v", c.CalibrationQuantile)
-	}
-	if !(c.CalibrationHeadroom > 0) {
-		return c, fmt.Errorf("serve: CalibrationHeadroom must be positive, got %v", c.CalibrationHeadroom)
 	}
 	if c.CostPerCallNs < 0 || c.CostPerBucketNs < 0 || c.CostDegradedNs <= 0 {
 		return c, fmt.Errorf("serve: virtual costs must be non-negative (degraded positive)")
@@ -189,4 +177,9 @@ func (c Config) normalize() (Config, error) {
 		return c, fmt.Errorf("serve: one identify chunk (%d virtual ns) exceeds the tick budget (%d): the queue could never drain", minCost, c.TickNs)
 	}
 	return c, nil
+}
+
+// bankKnobs extracts the bank maintainer's settings.
+func (c Config) bankKnobs() bankKnobs {
+	return bankKnobs{c.WindowSize, c.BankK, c.MaxPatternLen, c.CalibrationQuantile, c.CalibrationHeadroom}
 }

@@ -12,20 +12,16 @@
 //  3. Aggregate (serial, shard order): merge tick tallies, append
 //     completions to the sliding window, compact queues, and — every
 //     CompactTicks — rebuild the signature bank and recalibrate the
-//     anomaly threshold (compact.go).
+//     anomaly threshold (bank.go), then rebind the matcher to the new bank.
 package serve
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/distance"
 	"repro/internal/obs"
 	"repro/internal/signature"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -46,18 +42,6 @@ type req struct {
 	done      bool
 	predDone  bool
 	predHigh  bool
-}
-
-// winRec is one completed request in the sliding window — the compact form
-// from which compaction rematerializes the full pattern (a pure function
-// of these fields and the template library).
-type winRec struct {
-	app    int32
-	tmpl   int32
-	cohort int32 // arrival cohort (always 0 on the single-node engine)
-	anom   bool
-	drift  float64
-	cpuNs  float64
 }
 
 // shardTally is one shard's per-tick outcome counts, merged serially in
@@ -98,10 +82,9 @@ type Engine struct {
 
 	svc     *signature.Service
 	matcher *signature.Matcher
-	bank    *signature.Bank
-	// threshold is the calibrated anomaly threshold on identification
-	// scores (+Inf until the first calibration).
-	threshold float64
+	// bm owns the signature bank, its anomaly threshold, and the sliding
+	// window that feeds compaction.
+	bm *bankMaintainer
 
 	shards []shardState
 	shift  uint
@@ -112,23 +95,6 @@ type Engine struct {
 	tick        uint64
 	nowNs       int64
 
-	// Sliding window ring of recent completions.
-	win     []winRec
-	winLen  int
-	winHead int
-
-	// Compaction scratch (see compact.go); pairFn is bound once so the
-	// per-compaction Fill call allocates no closure.
-	winPats [][]float64
-	winN    int
-	dm      distance.Matrix
-	pairFn  distance.PairFunc
-	csc     cluster.Scratch
-	crng    *sim.RNG
-	scores  []float64
-	cpus    []float64
-	patBufs [][]float64
-
 	res Result
 
 	workers int
@@ -137,9 +103,8 @@ type Engine struct {
 	claim   atomic.Int64
 	closed  bool
 
-	hist                                    *obs.Histogram
-	cArrivals, cShed, cDegraded, cCompleted *obs.Counter
-	cFlagged, cCompactions, cRecalibrations *obs.Counter
+	hist                                              *obs.Histogram
+	cArrivals, cShed, cDegraded, cCompleted, cFlagged *obs.Counter
 }
 
 // New builds the engine: template libraries, the initial signature bank
@@ -159,15 +124,13 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		cfg:       cfg,
-		stream:    stream,
-		tmpl:      tmpl,
-		threshold: math.Inf(1),
-		shards:    make([]shardState, cfg.Shards),
-		shift:     uint(64 - log2(cfg.Shards)),
-		win:       make([]winRec, cfg.WindowSize),
-		workers:   cfg.Workers,
-		crng:      sim.NewRNG(0),
+		cfg:     cfg,
+		stream:  stream,
+		tmpl:    tmpl,
+		bm:      newBankMaintainer(cfg.bankKnobs(), tmpl, cfg.Stream.Apps, cfg.Stream.Seed, 0),
+		shards:  make([]shardState, cfg.Shards),
+		shift:   uint(64 - log2(cfg.Shards)),
+		workers: cfg.Workers,
 	}
 	for i := range e.shards {
 		sh := &e.shards[i]
@@ -180,22 +143,7 @@ func New(cfg Config) (*Engine, error) {
 	for a := range tmpl {
 		e.tmplCache[a] = make([]tmplMatch, len(tmpl[a]))
 	}
-	// Pattern scratch is preallocated at the hard length cap so window
-	// rematerialization and bank rebuilds never grow a buffer mid-run.
-	e.winPats = make([][]float64, cfg.WindowSize)
-	for i := range e.winPats {
-		e.winPats[i] = make([]float64, 0, cfg.MaxPatternLen)
-	}
-	e.patBufs = make([][]float64, cfg.BankK)
-	for i := range e.patBufs {
-		e.patBufs[i] = make([]float64, 0, cfg.MaxPatternLen)
-	}
-	e.scores = make([]float64, 0, cfg.WindowSize)
-	e.cpus = make([]float64, 0, cfg.WindowSize)
-	e.pairFn = func(i, j int) float64 {
-		return signature.PatternDistance(e.winPats[i], e.winPats[j])
-	}
-	e.buildInitialBank()
+	e.buildMatcher()
 	e.svc = signature.NewService(e.matcher, cfg.Shards)
 	e.refreshTemplateCache()
 	e.hist = obs.NewHistogram("serve.identify.ns")
@@ -207,8 +155,8 @@ func New(cfg Config) (*Engine, error) {
 		e.cDegraded = c.Counter("serve.degraded")
 		e.cCompleted = c.Counter("serve.completed")
 		e.cFlagged = c.Counter("serve.flagged")
-		e.cCompactions = c.Counter("serve.compactions")
-		e.cRecalibrations = c.Counter("serve.recalibrations")
+		e.bm.cCompactions = c.Counter("serve.compactions")
+		e.bm.cRecalibrations = c.Counter("serve.recalibrations")
 	}
 	if e.workers > 1 {
 		e.workCh = make([]chan struct{}, e.workers)
@@ -230,6 +178,43 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 	return e, nil
+}
+
+// buildMatcher points the matcher at the template bank. It first pre-sizes
+// the matcher's envelope against a worst-case bank — as many entries as the
+// larger of the template bank and the compacted bank, every pattern at the
+// length cap: Rebuild only reuses per-slot storage that is already big
+// enough, so seeding every slot at the cap makes all later compaction
+// rebuilds allocation-free no matter which medoid lengths they draw.
+func (e *Engine) buildMatcher() {
+	e.matcher = &signature.Matcher{}
+	if k := max(e.cfg.BankK, len(e.bm.bank.Entries)); k > 0 {
+		warm := &signature.Bank{Entries: make([]signature.Entry, k)}
+		full := make([]float64, e.cfg.MaxPatternLen)
+		for i := range warm.Entries {
+			warm.Entries[i].Pattern = full
+		}
+		e.matcher.Rebuild(warm)
+	}
+	e.matcher.Rebuild(e.bm.bank)
+}
+
+// refreshTemplateCache re-identifies every template against the current
+// bank. Cached matches are anomaly- and drift-free (the template's
+// inherent behavior), which is exactly the blindness degradation buys:
+// an overloaded shard stops seeing per-request deviations.
+func (e *Engine) refreshTemplateCache() {
+	for a := range e.tmpl {
+		for t := range e.tmpl[a] {
+			pat := e.tmpl[a][t].pattern
+			best, dist := e.bm.bank.IdentifyPatternScored(pat)
+			e.tmplCache[a][t] = tmplMatch{
+				best:  best,
+				high:  e.bm.bank.HighUsage(best),
+				score: dist / float64(len(pat)),
+			}
+		}
+	}
 }
 
 // log2 of a power of two.
@@ -304,8 +289,14 @@ func (e *Engine) runTick(ingest bool) int {
 	e.aggregate()
 	e.nowNs = tickEnd
 	e.tick++
-	if e.tick%uint64(e.cfg.CompactTicks) == 0 {
-		e.compact()
+	if e.tick%uint64(e.cfg.CompactTicks) == 0 && e.bm.compact() {
+		// Swap the bank under live traffic: rebuild the envelope in place,
+		// rebind every live and pooled session (their next identification
+		// re-runs the full prefix against the new bank, bit-identical to a
+		// fresh session), and refresh the degraded-path cache.
+		e.matcher.Rebuild(e.bm.bank)
+		e.svc.SetMatcher(e.matcher)
+		e.refreshTemplateCache()
 	}
 	return arrivals
 }
@@ -382,7 +373,7 @@ func (e *Engine) processShard(sh *shardState) {
 				r.predDone = true
 				r.predHigh = m.high
 				sh.tally.early++
-				if m.high != (r.cpuNs > e.bank.ThresholdNs) {
+				if m.high != (r.cpuNs > e.bm.bank.ThresholdNs) {
 					sh.tally.earlyWrong++
 				}
 			}
@@ -409,9 +400,9 @@ func (e *Engine) processShard(sh *shardState) {
 			r.pos += nb
 			if !r.predDone && r.pos >= (r.patLen+1)/2 {
 				r.predDone = true
-				r.predHigh = e.bank.HighUsage(best)
+				r.predHigh = e.bm.bank.HighUsage(best)
 				sh.tally.early++
-				if r.predHigh != (r.cpuNs > e.bank.ThresholdNs) {
+				if r.predHigh != (r.cpuNs > e.bm.bank.ThresholdNs) {
 					sh.tally.earlyWrong++
 				}
 			}
@@ -432,7 +423,7 @@ func (e *Engine) complete(sh *shardState, r *req, score float64, degraded bool) 
 		sh.tally.completedDegraded++
 	}
 	sh.tally.scoreSum += score
-	if score > e.threshold {
+	if score > e.bm.threshold {
 		sh.tally.flagged++
 		if r.anom {
 			sh.tally.flaggedInjected++
@@ -459,16 +450,7 @@ func (e *Engine) aggregate() {
 		e.cCompleted.Add(t.completed)
 		e.cFlagged.Add(t.flagged)
 		*t = shardTally{}
-		for _, rec := range sh.winBuf {
-			e.win[e.winHead] = rec
-			e.winHead++
-			if e.winHead == len(e.win) {
-				e.winHead = 0
-			}
-			if e.winLen < len(e.win) {
-				e.winLen++
-			}
-		}
+		e.bm.record(sh.winBuf)
 		sh.winBuf = sh.winBuf[:0]
 		if sh.depth > e.res.MaxShardDepth {
 			e.res.MaxShardDepth = sh.depth
@@ -504,9 +486,11 @@ func (e *Engine) Histogram() *obs.Histogram { return e.hist }
 func (e *Engine) Result() Result {
 	r := e.res
 	r.VirtualNs = e.nowNs
-	r.BankEntries = len(e.bank.Entries)
-	r.Threshold = e.threshold
-	r.WindowFill = e.winLen
+	r.Compactions = e.bm.compactions
+	r.Recalibrations = e.bm.recalibrations
+	r.BankEntries = len(e.bm.bank.Entries)
+	r.Threshold = e.bm.threshold
+	r.WindowFill = e.bm.winLen
 	r.Queued = e.Queued()
 	return r
 }

@@ -23,12 +23,10 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/anomaly"
 	"repro/internal/cache"
 	"repro/internal/cluster"
 	"repro/internal/distance"
 	"repro/internal/machine"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/signature"
 	"repro/internal/sim"
@@ -237,26 +235,14 @@ func (c FleetConfig) normalize() (FleetConfig, error) {
 	if c.TemplatesPerApp <= 0 {
 		return c, fmt.Errorf("serve: FleetConfig.TemplatesPerApp must be positive, got %d", c.TemplatesPerApp)
 	}
-	if c.MaxPatternLen <= 0 {
-		return c, fmt.Errorf("serve: FleetConfig.MaxPatternLen must be positive, got %d", c.MaxPatternLen)
-	}
-	if c.WindowSize <= 1 {
-		return c, fmt.Errorf("serve: FleetConfig.WindowSize must exceed 1, got %d", c.WindowSize)
+	if err := c.bankKnobs().validate("serve: FleetConfig."); err != nil {
+		return c, err
 	}
 	if c.CompactTicks <= 0 {
 		return c, fmt.Errorf("serve: FleetConfig.CompactTicks must be positive, got %d", c.CompactTicks)
 	}
-	if c.BankK <= 0 {
-		return c, fmt.Errorf("serve: FleetConfig.BankK must be positive, got %d", c.BankK)
-	}
 	if c.MergeEvery < 0 {
 		return c, fmt.Errorf("serve: FleetConfig.MergeEvery must be non-negative, got %d", c.MergeEvery)
-	}
-	if !(c.CalibrationQuantile >= 0 && c.CalibrationQuantile <= 1) {
-		return c, fmt.Errorf("serve: FleetConfig.CalibrationQuantile must be in [0,1], got %v", c.CalibrationQuantile)
-	}
-	if !(c.CalibrationHeadroom > 0) {
-		return c, fmt.Errorf("serve: FleetConfig.CalibrationHeadroom must be positive, got %v", c.CalibrationHeadroom)
 	}
 	if c.ScoreSampleEvery <= 0 {
 		c.ScoreSampleEvery = 1
@@ -265,6 +251,11 @@ func (c FleetConfig) normalize() (FleetConfig, error) {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	return c, nil
+}
+
+// bankKnobs extracts each node's bank maintainer settings.
+func (c FleetConfig) bankKnobs() bankKnobs {
+	return bankKnobs{c.WindowSize, c.BankK, c.MaxPatternLen, c.CalibrationQuantile, c.CalibrationHeadroom}
 }
 
 // fleetReq is one queued request on a core.
@@ -329,21 +320,9 @@ type fleetNode struct {
 	cores []fleetCore
 	pkgs  []int // indices into Fleet.pkgs
 
-	// Sliding window and per-node bank state (serial phase only).
-	win       []winRec
-	winLen    int
-	winHead   int
-	winPats   [][]float64
-	winN      int
-	bank      *signature.Bank
-	threshold float64
-	dm        distance.Matrix
-	pairFn    distance.PairFunc
-	csc       cluster.Scratch
-	crng      *sim.RNG
-	scores    []float64
-	cpus      []float64
-	patBufs   [][]float64
+	// bm owns the node's bank, threshold, and sliding window; it changes
+	// only in the serial phase.
+	bm *bankMaintainer
 
 	hist *obs.Histogram
 	res  NodeResult
@@ -384,14 +363,14 @@ type Fleet struct {
 
 	res FleetResult
 
-	// Merge scratch: concatenated node-bank patterns and their records.
-	mergePats [][]float64
-	mergeCPUs []float64
-	mergeApps []int32
-	mergeDM   distance.Matrix
-	mergeCSC  cluster.Scratch
-	mergeRNG  *sim.RNG
-	mergeFn   distance.PairFunc
+	// Merge scratch: concatenated node-bank entries.
+	mergePats  [][]float64
+	mergeCPUs  []float64
+	mergeTypes []string
+	mergeDM    distance.Matrix
+	mergeCSC   cluster.Scratch
+	mergeRNG   *sim.RNG
+	mergeFn    distance.PairFunc
 
 	fleetHist *obs.Histogram
 
@@ -427,6 +406,9 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		return nil, err
 	}
 	f := &Fleet{cfg: cfg, stream: stream, tmpl: tmpl, workers: cfg.Workers}
+	// A merge offers at most the concatenation of every node's bank; the
+	// merge scratch and each node's install scratch are sized for it.
+	mcap := max(len(cfg.Nodes)*cfg.BankK, cfg.TemplatesPerApp*len(tmpl)*len(cfg.Nodes))
 	mc := machine.DefaultConfig()
 	f.penCfg = mc.Cache
 	for ni, topo := range cfg.Nodes {
@@ -437,8 +419,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		n := &fleetNode{
 			topo:  topo,
 			clock: clock,
-			crng:  sim.NewRNG(0),
-			win:   make([]winRec, cfg.WindowSize),
+			bm:    newBankMaintainer(cfg.bankKnobs(), tmpl, cfg.Stream.Apps, cfg.Stream.Seed+int64(ni)*1_000_003, mcap),
 		}
 		n.res.Node = ni
 		n.res.Topology = topo.String()
@@ -468,21 +449,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			n.pkgs = append(n.pkgs, len(f.pkgs))
 			f.pkgs = append(f.pkgs, pkg)
 		}
-		n.winPats = make([][]float64, cfg.WindowSize)
-		for i := range n.winPats {
-			n.winPats[i] = make([]float64, 0, cfg.MaxPatternLen)
-		}
-		n.patBufs = make([][]float64, cfg.BankK)
-		for i := range n.patBufs {
-			n.patBufs[i] = make([]float64, 0, cfg.MaxPatternLen)
-		}
-		n.scores = make([]float64, 0, cfg.WindowSize)
-		n.cpus = make([]float64, 0, cfg.WindowSize+cfg.TemplatesPerApp*len(tmpl))
-		node := n
-		n.pairFn = func(i, j int) float64 {
-			return signature.PatternDistance(node.winPats[i], node.winPats[j])
-		}
-		n.buildTemplateBank(f)
 		n.hist = obs.NewHistogram(fmt.Sprintf("fleet.node%d.latency.ns", ni))
 		f.nodes = append(f.nodes, n)
 	}
@@ -492,7 +458,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	}
 	f.fleetThresholds = make([]float64, nc)
 	for i := range f.fleetThresholds {
-		f.fleetThresholds[i] = f.nodes[0].bank.ThresholdNs
+		f.fleetThresholds[i] = f.nodes[0].bm.bank.ThresholdNs
 	}
 	f.cohortCPUs = make([][]float64, nc)
 	for i := range f.cohortCPUs {
@@ -505,17 +471,12 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		f.active = 1
 	}
 
-	// Merge scratch sized to the concatenation of every node's bank.
-	mcap := len(f.nodes) * cfg.BankK
-	if tb := cfg.TemplatesPerApp * len(tmpl) * len(f.nodes); tb > mcap {
-		mcap = tb
-	}
 	f.mergePats = make([][]float64, mcap)
 	for i := range f.mergePats {
 		f.mergePats[i] = make([]float64, 0, cfg.MaxPatternLen)
 	}
 	f.mergeCPUs = make([]float64, 0, mcap)
-	f.mergeApps = make([]int32, 0, mcap)
+	f.mergeTypes = make([]string, 0, mcap)
 	f.mergeRNG = sim.NewRNG(0)
 	f.mergeFn = func(i, j int) float64 {
 		return signature.PatternDistance(f.mergePats[i], f.mergePats[j])
@@ -556,27 +517,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		}
 	}
 	return f, nil
-}
-
-// buildTemplateBank seeds a node's bank with the template library (see the
-// single-node engine's buildInitialBank).
-func (n *fleetNode) buildTemplateBank(f *Fleet) {
-	n.bank = &signature.Bank{Metric: metrics.L2RefsPerIns}
-	n.threshold = math.Inf(1)
-	for ai := range f.tmpl {
-		for t := range f.tmpl[ai] {
-			tm := &f.tmpl[ai][t]
-			n.bank.Entries = append(n.bank.Entries, signature.Entry{
-				Pattern:   tm.pattern,
-				Average:   meanOf(tm.pattern),
-				CPUTimeNs: tm.cpuNs,
-				Type:      f.cfg.Stream.Apps[ai].Name,
-			})
-			n.cpus = append(n.cpus, tm.cpuNs)
-		}
-	}
-	n.bank.ThresholdNs = medianInPlace(n.cpus)
-	n.cpus = n.cpus[:0]
 }
 
 // Process advances the fleet until at least n more arrivals have been
@@ -636,7 +576,7 @@ func (f *Fleet) runTick(ingest bool) int {
 	f.tick++
 	if f.tick%uint64(f.cfg.CompactTicks) == 0 {
 		for _, n := range f.nodes {
-			n.compactNode(f)
+			n.bm.compact()
 		}
 		f.res.CompactionRounds++
 		if f.cfg.MergeEvery > 0 && f.res.CompactionRounds%uint64(f.cfg.MergeEvery) == 0 {
@@ -962,10 +902,10 @@ func (f *Fleet) completeFleet(pkg *fleetPkg, nd *fleetNode, r *fleetReq, doneNs 
 			buf = append(buf, patternValue(tm, j, r.drift, r.anom))
 		}
 		pkg.patBuf = buf
-		_, dist := nd.bank.IdentifyPatternScored(buf)
+		_, dist := nd.bm.bank.IdentifyPatternScored(buf)
 		score := dist / float64(len(buf))
 		pkg.tally.scoreSum += score
-		if score > nd.threshold {
+		if score > nd.bm.threshold {
 			pkg.tally.flagged++
 			if r.anom {
 				pkg.tally.flaggedInjected++
@@ -997,95 +937,10 @@ func (f *Fleet) aggregate() {
 		f.cFlagged.Add(t.flagged)
 		pkg.queuedHigh -= t.highDone
 		*t = pkgTally{}
-		for _, rec := range pkg.winBuf {
-			nd.win[nd.winHead] = rec
-			nd.winHead++
-			if nd.winHead == len(nd.win) {
-				nd.winHead = 0
-			}
-			if nd.winLen < len(nd.win) {
-				nd.winLen++
-			}
-		}
+		nd.bm.record(pkg.winBuf)
 		pkg.winBuf = pkg.winBuf[:0]
 	}
 	f.res.Ticks++
-}
-
-// compactNode rebuilds one node's bank from its window via k-medoids and
-// recalibrates its anomaly threshold (mirrors the single-node engine's
-// compact, without the matcher plumbing the fleet path doesn't use).
-func (n *fleetNode) compactNode(f *Fleet) {
-	if n.winLen < minWindowFill {
-		if n.winLen > 0 {
-			n.recalibrateNode(f)
-		}
-		return
-	}
-	n.materializeNodeWindow(f)
-	n.dm.Fill(n.winN, n.pairFn, distance.MatrixOptions{Workers: 1})
-	n.crng.Reseed(f.cfg.Stream.Seed + int64(n.res.Node)*1_000_003 + int64(n.res.Compactions))
-	k := f.cfg.BankK
-	if k > n.winN {
-		k = n.winN
-	}
-	cres := n.csc.KMedoids(&n.dm, cluster.Config{K: k, Rand: n.crng})
-	n.bank.Entries = n.bank.Entries[:0]
-	n.cpus = n.cpus[:0]
-	for c, m := range cres.Medoids {
-		src := n.winPats[m]
-		n.patBufs[c] = append(n.patBufs[c][:0], src...)
-		rec := n.winAtNode(m)
-		n.bank.Entries = append(n.bank.Entries, signature.Entry{
-			Pattern:   n.patBufs[c],
-			Average:   meanOf(n.patBufs[c]),
-			CPUTimeNs: rec.cpuNs,
-			Type:      f.cfg.Stream.Apps[rec.app].Name,
-		})
-	}
-	for i := 0; i < n.winN; i++ {
-		n.cpus = append(n.cpus, n.winAtNode(i).cpuNs)
-	}
-	n.bank.ThresholdNs = medianInPlace(n.cpus)
-	n.recalibrateNode(f)
-	n.res.Compactions++
-}
-
-// materializeNodeWindow rematerializes the node window's patterns into
-// pooled buffers.
-func (n *fleetNode) materializeNodeWindow(f *Fleet) {
-	n.winN = n.winLen
-	for i := 0; i < n.winN; i++ {
-		rec := n.winAtNode(i)
-		tmpl := f.tmpl[rec.app][rec.tmpl].pattern
-		buf := n.winPats[i][:0]
-		for j := range tmpl {
-			buf = append(buf, patternValue(tmpl, j, rec.drift, rec.anom))
-		}
-		n.winPats[i] = buf
-	}
-}
-
-// winAtNode returns node window record i, oldest first.
-func (n *fleetNode) winAtNode(i int) *winRec {
-	idx := n.winHead - n.winLen + i
-	if idx < 0 {
-		idx += len(n.win)
-	}
-	return &n.win[idx]
-}
-
-// recalibrateNode rescores the node window against its bank and resets the
-// anomaly threshold.
-func (n *fleetNode) recalibrateNode(f *Fleet) {
-	n.materializeNodeWindow(f)
-	n.scores = n.scores[:0]
-	for i := 0; i < n.winN; i++ {
-		_, dist := n.bank.IdentifyPatternScored(n.winPats[i])
-		n.scores = append(n.scores, dist/float64(len(n.winPats[i])))
-	}
-	n.threshold = anomaly.Calibrate(n.scores, f.cfg.CalibrationQuantile, f.cfg.CalibrationHeadroom)
-	n.res.Recalibrations++
 }
 
 // mergeBanks concatenates every node's bank in node order, reclusters the
@@ -1097,13 +952,13 @@ func (n *fleetNode) recalibrateNode(f *Fleet) {
 func (f *Fleet) mergeBanks() {
 	var m int
 	for _, n := range f.nodes {
-		for _, e := range n.bank.Entries {
+		for _, e := range n.bm.bank.Entries {
 			if m == len(f.mergePats) {
 				break
 			}
 			f.mergePats[m] = append(f.mergePats[m][:0], e.Pattern...)
 			f.mergeCPUs = append(f.mergeCPUs, e.CPUTimeNs)
-			f.mergeApps = append(f.mergeApps, appIndexOf(f.cfg.Stream.Apps, e.Type))
+			f.mergeTypes = append(f.mergeTypes, e.Type)
 			m++
 		}
 	}
@@ -1112,26 +967,9 @@ func (f *Fleet) mergeBanks() {
 	}
 	f.mergeDM.Fill(m, f.mergeFn, distance.MatrixOptions{Workers: 1})
 	f.mergeRNG.Reseed(f.cfg.Stream.Seed + int64(f.res.Merges))
-	k := f.cfg.BankK
-	if k > m {
-		k = m
-	}
-	cres := f.mergeCSC.KMedoids(&f.mergeDM, cluster.Config{K: k, Rand: f.mergeRNG})
+	cres := f.mergeCSC.KMedoids(&f.mergeDM, cluster.Config{K: min(f.cfg.BankK, m), Rand: f.mergeRNG})
 	for _, n := range f.nodes {
-		n.bank.Entries = n.bank.Entries[:0]
-		for c, mi := range cres.Medoids {
-			n.patBufs[c] = append(n.patBufs[c][:0], f.mergePats[mi]...)
-			n.bank.Entries = append(n.bank.Entries, signature.Entry{
-				Pattern:   n.patBufs[c],
-				Average:   meanOf(n.patBufs[c]),
-				CPUTimeNs: f.mergeCPUs[mi],
-				Type:      f.cfg.Stream.Apps[f.mergeApps[mi]].Name,
-			})
-		}
-		n.cpus = append(n.cpus[:0], f.mergeCPUs[:m]...)
-		n.bank.ThresholdNs = medianInPlace(n.cpus)
-		n.cpus = n.cpus[:0]
-		n.recalibrateNode(f)
+		n.bm.install(cres.Medoids, f.mergePats, f.mergeCPUs, f.mergeTypes)
 	}
 	// Per-cohort admission thresholds: the median request cost of each
 	// cohort across every node's current window, in node order. Cohorts
@@ -1140,8 +978,8 @@ func (f *Fleet) mergeBanks() {
 		f.cohortCPUs[ci] = f.cohortCPUs[ci][:0]
 	}
 	for _, n := range f.nodes {
-		for i := 0; i < n.winLen; i++ {
-			rec := n.winAtNode(i)
+		for i := 0; i < n.bm.winLen; i++ {
+			rec := n.bm.at(i)
 			f.cohortCPUs[rec.cohort] = append(f.cohortCPUs[rec.cohort], rec.cpuNs)
 		}
 	}
@@ -1149,23 +987,13 @@ func (f *Fleet) mergeBanks() {
 		if cpus := f.cohortCPUs[ci]; len(cpus) > 0 {
 			f.fleetThresholds[ci] = medianInPlace(cpus)
 		} else {
-			f.fleetThresholds[ci] = f.nodes[0].bank.ThresholdNs
+			f.fleetThresholds[ci] = f.nodes[0].bm.bank.ThresholdNs
 		}
 	}
 	f.mergeCPUs = f.mergeCPUs[:0]
-	f.mergeApps = f.mergeApps[:0]
+	f.mergeTypes = f.mergeTypes[:0]
 	f.res.Merges++
 	f.cMerges.Add(1)
-}
-
-// appIndexOf maps an app name back to its mix index (0 fallback).
-func appIndexOf(apps []workload.StreamApp, name string) int32 {
-	for i, a := range apps {
-		if a.Name == name {
-			return int32(i)
-		}
-	}
-	return 0
 }
 
 // Queued returns the total in-flight requests across the fleet.
@@ -1195,8 +1023,10 @@ func (f *Fleet) Result() FleetResult {
 			nr.CPI = nr.Cycles / nr.Instructions
 		}
 		nr.P99Ns = n.hist.Quantile(0.99)
-		nr.BankEntries = len(n.bank.Entries)
-		nr.Threshold = n.threshold
+		nr.Compactions = n.bm.compactions
+		nr.Recalibrations = n.bm.recalibrations
+		nr.BankEntries = len(n.bm.bank.Entries)
+		nr.Threshold = n.bm.threshold
 		r.Nodes[i] = nr
 		r.Cycles += nr.Cycles
 		r.Instructions += nr.Instructions

@@ -228,7 +228,9 @@ func TestFleetConfigValidation(t *testing.T) {
 		{func(c *FleetConfig) { c.DegradeDepth = 0 }, "FleetConfig.DegradeDepth"},
 		{func(c *FleetConfig) { c.DegradeDepth = c.QueueCap + 1 }, "FleetConfig.DegradeDepth"},
 		{func(c *FleetConfig) { c.CostDegradedNs = 0 }, "FleetConfig.CostDegradedNs"},
+		{func(c *FleetConfig) { c.MaxPatternLen = 0 }, "FleetConfig.MaxPatternLen"},
 		{func(c *FleetConfig) { c.WindowSize = 1 }, "FleetConfig.WindowSize"},
+		{func(c *FleetConfig) { c.CompactTicks = 0 }, "FleetConfig.CompactTicks"},
 		{func(c *FleetConfig) { c.BankK = 0 }, "FleetConfig.BankK"},
 		{func(c *FleetConfig) { c.MergeEvery = -1 }, "FleetConfig.MergeEvery"},
 		{func(c *FleetConfig) { c.CalibrationQuantile = 1.5 }, "FleetConfig.CalibrationQuantile"},

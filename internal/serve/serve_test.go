@@ -3,6 +3,7 @@ package serve
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/workload"
@@ -158,5 +159,36 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Process allocates %v per 20k requests, want 0", allocs)
+	}
+}
+
+func TestConfigValidation(t *testing.T) {
+	cases := []struct {
+		mut  func(*Config)
+		want string
+	}{
+		{func(c *Config) { c.Stream.RatePerSec = 0 }, "stream rate"},
+		{func(c *Config) { c.TickNs = 0 }, "serve: TickNs"},
+		{func(c *Config) { c.QueueCap = -1 }, "serve: QueueCap"},
+		{func(c *Config) { c.DegradeDepth = 0 }, "serve: DegradeDepth"},
+		{func(c *Config) { c.DegradeDepth = c.QueueCap + 1 }, "serve: DegradeDepth"},
+		{func(c *Config) { c.ChunkBuckets = 0 }, "serve: ChunkBuckets"},
+		{func(c *Config) { c.TemplatesPerApp = 0 }, "serve: TemplatesPerApp"},
+		{func(c *Config) { c.MaxPatternLen = 0 }, "serve: MaxPatternLen"},
+		{func(c *Config) { c.WindowSize = 1 }, "serve: WindowSize"},
+		{func(c *Config) { c.CompactTicks = 0 }, "serve: CompactTicks"},
+		{func(c *Config) { c.BankK = 0 }, "serve: BankK"},
+		{func(c *Config) { c.CalibrationQuantile = 1.5 }, "serve: CalibrationQuantile"},
+		{func(c *Config) { c.CalibrationHeadroom = 0 }, "serve: CalibrationHeadroom"},
+		{func(c *Config) { c.CostDegradedNs = 0 }, "virtual costs"},
+		{func(c *Config) { c.CostPerBucketNs = c.TickNs }, "tick budget"},
+	}
+	for _, tc := range cases {
+		cfg := DefaultConfig(1)
+		tc.mut(&cfg)
+		_, err := New(cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("want error naming %s, got %v", tc.want, err)
+		}
 	}
 }
