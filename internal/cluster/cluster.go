@@ -18,13 +18,6 @@ import (
 // qualify.
 type DistFunc func(i, j int) float64
 
-// Distances is a read-only precomputed pairwise-distance view, satisfied
-// by *distance.Matrix. At must be symmetric with a zero diagonal.
-type Distances interface {
-	N() int
-	At(i, j int) float64
-}
-
 // Result is a k-medoids clustering outcome.
 type Result struct {
 	// Medoids holds the item index of each cluster's centroid request.
@@ -81,10 +74,12 @@ func KMedoids(n int, dist DistFunc, cfg Config) *Result {
 
 // KMedoidsMatrix clusters the population of a precomputed pairwise
 // distance matrix. The result is deterministic for a given matrix and
-// seed.
-func KMedoidsMatrix(dm Distances, cfg Config) *Result {
+// seed. It is copied out of its scratch, so holding it keeps neither the
+// scratch nor the matrix alive.
+func KMedoidsMatrix(dm *distance.Matrix, cfg Config) *Result {
 	var sc Scratch
-	return sc.KMedoids(dm, cfg)
+	res := *sc.KMedoids(dm, cfg)
+	return &res
 }
 
 // Scratch holds the working storage for repeated k-medoids runs. A zero
@@ -95,9 +90,10 @@ func KMedoidsMatrix(dm Distances, cfg Config) *Result {
 // KMedoids call on the same scratch.
 type Scratch struct {
 	res     Result
-	members []int // items grouped by cluster, ascending within each
-	offs    []int // cluster c's group is members[offs[c]:offs[c+1]]
-	cursor  []int // per-cluster write positions while grouping
+	members []int       // items grouped by cluster, ascending within each
+	offs    []int       // cluster c's group is members[offs[c]:offs[c+1]]
+	cursor  []int       // per-cluster write positions while grouping
+	rows    [][]float64 // rows[i] is dm.Row(i)
 }
 
 // KMedoids is KMedoidsMatrix running in pooled storage. Results are bit
@@ -105,7 +101,7 @@ type Scratch struct {
 // iteration visits candidates in the same order (the member grouping is a
 // counting sort, which preserves ascending item order — exactly the order
 // Result.Members yields).
-func (sc *Scratch) KMedoids(dm Distances, cfg Config) *Result {
+func (sc *Scratch) KMedoids(dm *distance.Matrix, cfg Config) *Result {
 	if cfg.K <= 0 {
 		panic("cluster: K must be positive")
 	}
@@ -116,6 +112,16 @@ func (sc *Scratch) KMedoids(dm Distances, cfg Config) *Result {
 	k := cfg.K
 	if k > n {
 		k = n
+	}
+	// Distances are read through row views of the triangle: at(i, j) is
+	// dm.At(i, j) without recomputing the row offset on every read, and the
+	// update step hoists the candidate's row.
+	if cap(sc.rows) < n {
+		sc.rows = make([][]float64, n)
+	}
+	sc.rows = sc.rows[:n]
+	for i := range sc.rows {
+		sc.rows[i] = dm.Row(i)
 	}
 
 	// Initialization: greedy k-means++-style spread using a seeded stream —
@@ -136,7 +142,7 @@ func (sc *Scratch) KMedoids(dm Distances, cfg Config) *Result {
 			}
 			d := math.Inf(1)
 			for _, m := range medoids {
-				if v := dm.At(i, m); v < d {
+				if v := sc.at(i, m); v < d {
 					d = v
 				}
 			}
@@ -166,7 +172,7 @@ func (sc *Scratch) KMedoids(dm Distances, cfg Config) *Result {
 		for i := 0; i < n; i++ {
 			best, bestD := assign[i], math.Inf(1)
 			for c, m := range medoids {
-				if d := dm.At(i, m); d < bestD {
+				if d := sc.at(i, m); d < bestD {
 					best, bestD = c, d
 				}
 			}
@@ -205,22 +211,31 @@ func (sc *Scratch) KMedoids(dm Distances, cfg Config) *Result {
 		for c := range medoids {
 			members := sc.members[sc.offs[c]:sc.offs[c+1]]
 			if len(members) == 0 {
-				if far := farthestNonMedoid(dm, medoids, assign); far >= 0 && far != medoids[c] {
+				if far := sc.farthestNonMedoid(medoids, assign); far >= 0 && far != medoids[c] {
 					medoids[c] = far
 					moved = true
 				}
 				continue
 			}
 			best, bestSum := medoids[c], math.Inf(1)
-			for _, cand := range members {
+			for ci, cand := range members {
 				// Never adopt another cluster's medoid (reachable only
 				// under exact distance ties): medoid indices stay unique.
 				if cand != medoids[c] && containsInt(medoids, cand) {
 					continue
 				}
+				// Members ascend, so the earlier ones sit in their own
+				// rows and the later ones in cand's row. cand's own
+				// diagonal term is +0, which leaves sum unchanged: sum
+				// starts at +0 and a round-to-nearest sum is −0 only when
+				// both addends are.
 				var sum float64
-				for _, other := range members {
-					sum += dm.At(cand, other)
+				for _, other := range members[:ci] {
+					sum += sc.rows[other][cand-other-1]
+				}
+				row := sc.rows[cand]
+				for _, other := range members[ci+1:] {
+					sum += row[other-cand-1]
 				}
 				if sum < bestSum {
 					best, bestSum = cand, sum
@@ -251,17 +266,28 @@ func growInts(s []int, n int) []int {
 // farthestNonMedoid returns the item with the greatest distance to its
 // assigned medoid, excluding current medoids (ties to the lowest index),
 // or -1 when every item is a medoid.
-func farthestNonMedoid(dm Distances, medoids, assign []int) int {
+func (sc *Scratch) farthestNonMedoid(medoids, assign []int) int {
 	best, bestD := -1, -1.0
-	for i := 0; i < dm.N(); i++ {
+	for i := range sc.rows {
 		if containsInt(medoids, i) {
 			continue
 		}
-		if d := dm.At(i, medoids[assign[i]]); d > bestD {
+		if d := sc.at(i, medoids[assign[i]]); d > bestD {
 			best, bestD = i, d
 		}
 	}
 	return best
+}
+
+// at returns the distance between items i and j, as dm.At does.
+func (sc *Scratch) at(i, j int) float64 {
+	if i < j {
+		return sc.rows[i][j-i-1]
+	}
+	if i > j {
+		return sc.rows[j][i-j-1]
+	}
+	return 0
 }
 
 func containsInt(xs []int, v int) bool {

@@ -69,15 +69,8 @@ func NewMatrix(n int, pair PairFunc, opt MatrixOptions) *Matrix {
 // is written (cells are never carried over from a previous fill), so the
 // result is identical to a fresh NewMatrix.
 func (m *Matrix) Fill(n int, pair PairFunc, opt MatrixOptions) {
-	m.n = n
-	m.vals = m.vals[:0]
-	if n < 2 {
+	if !m.resize(n) {
 		return
-	}
-	if need := n * (n - 1) / 2; cap(m.vals) >= need {
-		m.vals = m.vals[:need]
-	} else {
-		m.vals = make([]float64, need)
 	}
 	workers := opt.Workers
 	if workers <= 0 {
@@ -135,6 +128,45 @@ func (m *Matrix) Fill(n int, pair PairFunc, opt MatrixOptions) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// FillRows is Fill's serial row-at-a-time form, for kernels that compute a
+// whole row at once instead of one pair per call: row(i, cells) must set
+// cells[k] to the distance between items i and i+1+k, for every k. cells
+// arrives holding whatever the storage last held. Storage is reused as in
+// Fill, so a refill over a same-or-smaller population allocates nothing.
+func (m *Matrix) FillRows(n int, row func(i int, cells []float64)) {
+	if !m.resize(n) {
+		return
+	}
+	for i := 0; i < n-1; i++ {
+		row(i, m.Row(i))
+	}
+}
+
+// resize sets the population to n and the triangular storage to n·(n−1)/2
+// cells, growing it only when its capacity is short, and reports whether
+// there is any cell to fill.
+func (m *Matrix) resize(n int) bool {
+	m.n = n
+	m.vals = m.vals[:0]
+	if n < 2 {
+		return false
+	}
+	if need := n * (n - 1) / 2; cap(m.vals) >= need {
+		m.vals = m.vals[:need]
+	} else {
+		m.vals = make([]float64, need)
+	}
+	return true
+}
+
+// Row returns row i's strict-upper-triangle cells: Row(i)[k] is the
+// distance between items i and i+1+k. The slice aliases the matrix and
+// must not be written.
+func (m *Matrix) Row(i int) []float64 {
+	base := m.tri(i, i+1)
+	return m.vals[base : base+m.n-1-i : base+m.n-1-i]
 }
 
 // fillRow computes row i's strict-upper-triangle cells.

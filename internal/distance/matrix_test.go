@@ -157,33 +157,44 @@ func TestMatrixConcurrentFillRace(t *testing.T) {
 	<-done
 }
 
-// TestMatrixFillReuse: refilling a matrix in place must produce results
-// identical to a fresh NewMatrix, for shrinking and growing populations,
-// and must not allocate once the storage has grown.
+// TestMatrixFillReuse: refilling a matrix in place, by Fill or row by row
+// by FillRows, must produce results identical to a fresh NewMatrix, for
+// shrinking and growing populations, Row(i) must be row i's cells, and
+// neither refill may allocate once the storage has grown.
 func TestMatrixFillReuse(t *testing.T) {
 	seqs := randSeqs(9, 60, 10, 30)
 	d := L1{}
 	pairOver := func(s [][]float64) PairFunc {
 		return func(i, j int) float64 { return d.Distance(s[i], s[j]) }
 	}
-	var m Matrix
+	pair := pairOver(seqs)
+	byRow := func(i int, cells []float64) {
+		for k := range cells {
+			cells[k] = pair(i, i+1+k)
+		}
+	}
+	var m, rows Matrix
 	for _, n := range []int{60, 20, 1, 0, 45, 60} {
 		m.Fill(n, pairOver(seqs), MatrixOptions{Workers: 1})
+		rows.FillRows(n, byRow)
 		want := NewMatrix(n, pairOver(seqs), MatrixOptions{Workers: 1})
-		if m.N() != want.N() {
-			t.Fatalf("n=%d: N=%d, want %d", n, m.N(), want.N())
+		if m.N() != want.N() || rows.N() != want.N() {
+			t.Fatalf("n=%d: N=%d (FillRows %d), want %d", n, m.N(), rows.N(), want.N())
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if m.At(i, j) != want.At(i, j) {
-					t.Fatalf("n=%d: At(%d,%d)=%v, want %v", n, i, j, m.At(i, j), want.At(i, j))
+				if m.At(i, j) != want.At(i, j) || rows.At(i, j) != want.At(i, j) {
+					t.Fatalf("n=%d: At(%d,%d)=%v (FillRows %v), want %v", n, i, j, m.At(i, j), rows.At(i, j), want.At(i, j))
 				}
+			}
+			if r := want.Row(i); len(r) != n-1-i || (len(r) > 0 && r[len(r)-1] != want.At(i, n-1)) {
+				t.Fatalf("n=%d: Row(%d) has %d cells, want %d ending at At(%d,%d)", n, i, len(r), n-1-i, i, n-1)
 			}
 		}
 	}
-	pair := pairOver(seqs)
 	allocs := testing.AllocsPerRun(20, func() {
 		m.Fill(60, pair, MatrixOptions{Workers: 1})
+		rows.FillRows(60, byRow)
 	})
 	if allocs != 0 {
 		t.Fatalf("serial refill allocates %v per run, want 0", allocs)

@@ -99,7 +99,8 @@ func (t Topology) Homogeneous() bool {
 	return true
 }
 
-// Validate reports topology errors, naming the offending field.
+// Validate reports topology errors, naming the offending field. NaN fails
+// every float check: it would break the String round trip.
 func (t Topology) Validate() error {
 	if len(t.Packages) == 0 {
 		return fmt.Errorf("machine: Topology.Packages must have at least one package")
@@ -108,14 +109,14 @@ func (t Topology) Validate() error {
 		if p.Cores <= 0 {
 			return fmt.Errorf("machine: Topology.Packages[%d].Cores must be positive, got %d", i, p.Cores)
 		}
-		if p.FreqScale <= 0 {
+		if !(p.FreqScale > 0) {
 			return fmt.Errorf("machine: Topology.Packages[%d].FreqScale must be positive, got %v", i, p.FreqScale)
 		}
-		if p.CacheMB < 0 {
+		if !(p.CacheMB >= 0) {
 			return fmt.Errorf("machine: Topology.Packages[%d].CacheMB must be non-negative, got %v", i, p.CacheMB)
 		}
 	}
-	if t.CyclesPerNs < 0 {
+	if !(t.CyclesPerNs >= 0) {
 		return fmt.Errorf("machine: Topology.CyclesPerNs must be non-negative, got %v", t.CyclesPerNs)
 	}
 	return nil

@@ -81,6 +81,9 @@ func TestParseTopologyErrors(t *testing.T) {
 		{"clock=z", "clock"},
 		{"", "at least one package"},
 		{"pkg=2;clock=-1", "CyclesPerNs"},
+		{"pkg=1;clock=nAn", "CyclesPerNs"},
+		{"pkg=1:NaN", "Packages[0].FreqScale"},
+		{"pkg=1:1:nan", "Packages[0].CacheMB"},
 	}
 	for _, c := range cases {
 		_, err := ParseTopology(c.spec)

@@ -1,12 +1,18 @@
 // Bank maintenance: the paper's online loop run over a sliding window.
 // One bankMaintainer serves the single-node engine and every fleet node.
 // It keeps the window ring of recent completions and, every compaction,
-// rematerializes the window's patterns, reclusters them with k-medoids
-// over a pooled distance matrix, rebuilds the signature bank from the
-// medoids, and recalibrates the anomaly threshold against the new bank.
-// The fleet's merge step installs a merged bank through the same rebuild.
-// Everything runs in preallocated scratch, so a steady-state compaction
-// allocates nothing.
+// rematerializes the window's patterns once, reclusters them with
+// k-medoids over a pooled distance matrix, rebuilds the signature bank
+// from the medoids, and recalibrates the anomaly threshold by scoring the
+// same materialized patterns against the new bank. The fleet's merge step
+// installs a merged bank through the same rebuild.
+//
+// The matrix is filled by signature.PatternMatrix's column sweep, and
+// PatternDistance is not symmetric, so the orientation is fixed: cell
+// (i < j) is PatternDistance(pats[i], pats[j]), the older record first
+// (on a merge, the earlier node's entry first). Everything runs in scratch
+// preallocated at the template library's longest pattern, so a
+// steady-state compaction allocates nothing.
 package serve
 
 import (
@@ -86,13 +92,13 @@ type bankMaintainer struct {
 	winHead int
 
 	// Pooled scratch. pats[0:winLen] holds the rematerialized window
-	// patterns (oldest first) with their costs and types; pairFn is bound
-	// once so the per-compaction Fill call allocates no closure.
+	// patterns (oldest first) with their costs and types; pm fills dm
+	// from them.
 	pats    [][]float64
 	cpuOf   []float64
 	typeOf  []string
 	dm      distance.Matrix
-	pairFn  distance.PairFunc
+	pm      *signature.PatternMatrix
 	csc     cluster.Scratch
 	rng     *sim.RNG
 	scores  []float64
@@ -120,23 +126,24 @@ func newBankMaintainer(k bankKnobs, tmpl [][]template, apps []workload.StreamApp
 		win:       make([]winRec, k.WindowSize),
 		rng:       sim.NewRNG(0),
 	}
-	// Pattern scratch is preallocated at the hard length cap so window
-	// rematerialization and bank rebuilds never grow a buffer mid-run.
+	// Pattern scratch is preallocated at the library's longest template —
+	// no materialized or merged pattern is longer — so window
+	// rematerialization, matrix fills and bank rebuilds never grow a
+	// buffer mid-run.
+	longest := longestPattern(tmpl)
 	b.pats = make([][]float64, k.WindowSize)
 	for i := range b.pats {
-		b.pats[i] = make([]float64, 0, k.MaxPatternLen)
+		b.pats[i] = make([]float64, 0, longest)
 	}
 	b.patBufs = make([][]float64, k.BankK)
 	for i := range b.patBufs {
-		b.patBufs[i] = make([]float64, 0, k.MaxPatternLen)
+		b.patBufs[i] = make([]float64, 0, longest)
 	}
+	b.pm = signature.NewPatternMatrix(k.WindowSize, longest)
 	b.cpuOf = make([]float64, k.WindowSize)
 	b.typeOf = make([]string, k.WindowSize)
 	b.scores = make([]float64, 0, k.WindowSize)
 	b.cpus = make([]float64, 0, max(k.WindowSize, installCap))
-	b.pairFn = func(i, j int) float64 {
-		return signature.PatternDistance(b.pats[i], b.pats[j])
-	}
 	for ai := range tmpl {
 		for t := range tmpl[ai] {
 			tm := &tmpl[ai][t]
@@ -189,23 +196,31 @@ func (b *bankMaintainer) compact() bool {
 		return false
 	}
 	b.materialize()
-	// One fill worker: compaction runs in the serial phase, and spawning a
-	// pool would allocate.
-	b.dm.Fill(b.winLen, b.pairFn, distance.MatrixOptions{Workers: 1})
+	b.pm.Fill(&b.dm, b.pats[:b.winLen])
 	b.rng.Reseed(b.seed + int64(b.compactions))
 	cres := b.csc.KMedoids(&b.dm, cluster.Config{K: min(b.knobs.BankK, b.winLen), Rand: b.rng})
-	b.install(cres.Medoids, b.pats, b.cpuOf[:b.winLen], b.typeOf)
+	b.rebuild(cres.Medoids, b.pats, b.cpuOf[:b.winLen], b.typeOf)
+	// The window is still materialized: rebuild copies the medoids' patterns
+	// out and leaves pats as they were.
+	b.calibrate()
 	b.compactions++
 	b.cCompactions.Add(1)
 	return true
 }
 
-// install rebuilds the bank from the medoids of a candidate set — each
-// candidate's pattern, solo CPU cost and type — in medoid order, sets the
-// high-usage threshold to the median cost over all candidates, and
-// recalibrates. Entry patterns copy into per-slot buffers, so the
-// candidate storage may be reused afterwards.
+// install rebuilds the bank from a merged candidate set (see rebuild) and
+// recalibrates against it.
 func (b *bankMaintainer) install(medoids []int, pats [][]float64, cpus []float64, types []string) {
+	b.rebuild(medoids, pats, cpus, types)
+	b.recalibrate()
+}
+
+// rebuild replaces the bank with the medoids of a candidate set — each
+// candidate's pattern, solo CPU cost and type — in medoid order, and sets
+// the high-usage threshold to the median cost over all candidates. Entry
+// patterns copy into per-slot buffers, so the candidate storage may be
+// reused afterwards.
+func (b *bankMaintainer) rebuild(medoids []int, pats [][]float64, cpus []float64, types []string) {
 	b.bank.Entries = b.bank.Entries[:0]
 	for c, m := range medoids {
 		b.patBufs[c] = append(b.patBufs[c][:0], pats[m]...)
@@ -218,7 +233,6 @@ func (b *bankMaintainer) install(medoids []int, pats [][]float64, cpus []float64
 	}
 	b.cpus = append(b.cpus[:0], cpus...)
 	b.bank.ThresholdNs = medianInPlace(b.cpus)
-	b.recalibrate()
 }
 
 // materialize rematerializes every window record's full pattern, cost and
@@ -237,10 +251,16 @@ func (b *bankMaintainer) materialize() {
 	}
 }
 
-// recalibrate rescores the window against the current bank and resets the
-// anomaly threshold to the calibration quantile of those scores.
+// recalibrate rematerializes the window and calibrates against it.
 func (b *bankMaintainer) recalibrate() {
 	b.materialize()
+	b.calibrate()
+}
+
+// calibrate rescores the materialized window against the current bank and
+// resets the anomaly threshold to the calibration quantile of those
+// scores.
+func (b *bankMaintainer) calibrate() {
 	b.scores = b.scores[:0]
 	for i := 0; i < b.winLen; i++ {
 		_, dist := b.bank.IdentifyPatternScored(b.pats[i])

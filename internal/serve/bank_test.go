@@ -4,11 +4,13 @@ import (
 	"math"
 	"runtime"
 	"testing"
+
+	"repro/internal/signature"
 )
 
 // newTestMaintainer builds a maintainer over the templates cfg's stream
 // and template knobs produce.
-func newTestMaintainer(t *testing.T, cfg Config, seed int64, installCap int) *bankMaintainer {
+func newTestMaintainer(t testing.TB, cfg Config, seed int64, installCap int) *bankMaintainer {
 	t.Helper()
 	tmpl, err := buildTemplates(cfg)
 	if err != nil {
@@ -95,12 +97,17 @@ func mallocsOnce(f func()) uint64 {
 	return after.Mallocs - before.Mallocs
 }
 
-// TestBankMaintenanceAllocs: compaction allocates nothing once its matrix
-// and k-medoids scratch have grown, and a merged-bank install allocates
-// nothing even the first time, at the engine's scratch sizes and at a
-// fleet node's (whose installs offer a whole fleet's concatenated banks).
-func TestBankMaintenanceAllocs(t *testing.T) {
-	fc := smallFleetConfig(1)
+// maintainerSize is one owner's bank-maintainer sizing: the engine's, or
+// a fleet node's, whose installs offer a whole fleet's concatenated banks.
+type maintainerSize struct {
+	name       string
+	cfg        Config
+	installCap int
+}
+
+// maintainerSizes returns the engine's default sizing and that of a node
+// of fleet fc.
+func maintainerSizes(fc FleetConfig) []maintainerSize {
 	fleetCfg := Config{
 		Stream:              fc.Stream,
 		TemplatesPerApp:     fc.TemplatesPerApp,
@@ -111,14 +118,18 @@ func TestBankMaintenanceAllocs(t *testing.T) {
 		CalibrationHeadroom: fc.CalibrationHeadroom,
 	}
 	fleetCap := max(len(fc.Nodes)*fc.BankK, fc.TemplatesPerApp*len(fc.Stream.Apps)*len(fc.Nodes))
-	for _, tc := range []struct {
-		name       string
-		cfg        Config
-		installCap int
-	}{
+	return []maintainerSize{
 		{"engine", DefaultConfig(1), 0},
 		{"fleet-node", fleetCfg, fleetCap},
-	} {
+	}
+}
+
+// TestBankMaintenanceAllocs: compaction allocates nothing once its matrix
+// and k-medoids scratch have grown, and a merged-bank install allocates
+// nothing even the first time, at the engine's scratch sizes and at a
+// fleet node's.
+func TestBankMaintenanceAllocs(t *testing.T) {
+	for _, tc := range maintainerSizes(smallFleetConfig(1)) {
 		b := newTestMaintainer(t, tc.cfg, 3, tc.installCap)
 		b.record(syntheticRecs(b, 3*tc.cfg.WindowSize))
 		b.compact() // grows the matrix and k-medoids scratch once
@@ -147,5 +158,50 @@ func TestBankMaintenanceAllocs(t *testing.T) {
 		if len(b.bank.Entries) != tc.cfg.BankK || b.bank.Entries[1].Type != types[medoids[1]] {
 			t.Errorf("%s: installed bank %d entries, entry 1 type %q", tc.name, len(b.bank.Entries), b.bank.Entries[1].Type)
 		}
+	}
+}
+
+// TestBankCompactMatrixOrientation: after a compaction, matrix cell (i < j)
+// is PatternDistance(pats[i], pats[j]) bit for bit — the older window
+// record is the first argument, whose tail the distance charges.
+func TestBankCompactMatrixOrientation(t *testing.T) {
+	b := newTestMaintainer(t, DefaultConfig(1), 1, 0)
+	b.record(syntheticRecs(b, b.knobs.WindowSize+7))
+	if !b.compact() {
+		t.Fatal("full window did not compact")
+	}
+	asymmetric := 0
+	for i := 0; i < b.winLen; i++ {
+		for j := i + 1; j < b.winLen; j++ {
+			want := signature.PatternDistance(b.pats[i], b.pats[j])
+			if got := b.dm.At(i, j); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("cell (%d,%d) = %v, want d(pats[%d], pats[%d]) = %v", i, j, got, i, j, want)
+			}
+			if want != signature.PatternDistance(b.pats[j], b.pats[i]) {
+				asymmetric++
+			}
+		}
+	}
+	// The window mixes template lengths, so swapped arguments would show.
+	if asymmetric == 0 {
+		t.Fatal("no asymmetric pair in the window: the orientation check is vacuous")
+	}
+}
+
+// BenchmarkBankCompact times one full-window compaction — materialize, the
+// pairwise matrix fill, k-medoids, the bank rebuild and recalibration — at
+// the engine's and a default fleet node's sizes.
+func BenchmarkBankCompact(b *testing.B) {
+	for _, tc := range maintainerSizes(DefaultFleetConfig(1)) {
+		b.Run(tc.name, func(b *testing.B) {
+			m := newTestMaintainer(b, tc.cfg, 3, tc.installCap)
+			m.record(syntheticRecs(m, 3*tc.cfg.WindowSize))
+			m.compact() // grows the matrix and k-medoids scratch once
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.compact()
+			}
+		})
 	}
 }

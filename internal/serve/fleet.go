@@ -368,9 +368,9 @@ type Fleet struct {
 	mergeCPUs  []float64
 	mergeTypes []string
 	mergeDM    distance.Matrix
+	mergePM    *signature.PatternMatrix
 	mergeCSC   cluster.Scratch
 	mergeRNG   *sim.RNG
-	mergeFn    distance.PairFunc
 
 	fleetHist *obs.Histogram
 
@@ -471,16 +471,17 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		f.active = 1
 	}
 
+	// Merged patterns are bank entries, so none is longer than the
+	// library's longest template.
+	longest := longestPattern(tmpl)
 	f.mergePats = make([][]float64, mcap)
 	for i := range f.mergePats {
-		f.mergePats[i] = make([]float64, 0, cfg.MaxPatternLen)
+		f.mergePats[i] = make([]float64, 0, longest)
 	}
 	f.mergeCPUs = make([]float64, 0, mcap)
 	f.mergeTypes = make([]string, 0, mcap)
+	f.mergePM = signature.NewPatternMatrix(mcap, longest)
 	f.mergeRNG = sim.NewRNG(0)
-	f.mergeFn = func(i, j int) float64 {
-		return signature.PatternDistance(f.mergePats[i], f.mergePats[j])
-	}
 
 	if c := cfg.Obs; c != nil {
 		c.RegisterHistogram(f.fleetHist)
@@ -965,7 +966,7 @@ func (f *Fleet) mergeBanks() {
 	if m == 0 {
 		return
 	}
-	f.mergeDM.Fill(m, f.mergeFn, distance.MatrixOptions{Workers: 1})
+	f.mergePM.Fill(&f.mergeDM, f.mergePats[:m])
 	f.mergeRNG.Reseed(f.cfg.Stream.Seed + int64(f.res.Merges))
 	cres := f.mergeCSC.KMedoids(&f.mergeDM, cluster.Config{K: min(f.cfg.BankK, m), Rand: f.mergeRNG})
 	for _, n := range f.nodes {

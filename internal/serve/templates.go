@@ -83,6 +83,19 @@ func buildTemplates(cfg Config) ([][]template, error) {
 	return out, nil
 }
 
+// longestPattern returns the longest template pattern in the library, in
+// buckets: the bound on every pattern a bank maintainer materializes,
+// stores or merges.
+func longestPattern(tmpl [][]template) int {
+	n := 0
+	for _, ts := range tmpl {
+		for _, t := range ts {
+			n = max(n, len(t.pattern))
+		}
+	}
+	return n
+}
+
 // requestTemplate resamples a generated request's inherent refs/ins into
 // progress buckets and prices its solo CPU time through the cache model.
 func requestTemplate(req *workload.Request, bucketIns float64, maxLen int, mc machine.Config) template {

@@ -11,6 +11,7 @@ package signature
 import (
 	"math"
 
+	"repro/internal/distance"
 	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/timeseries"
@@ -95,12 +96,96 @@ func prefixL1(prefix, entry []float64) float64 {
 }
 
 // PatternDistance is the bank's matching distance as an exported measure:
-// prefix-L1 with the longer pattern's unexplained tail charged at its own
-// values. It is symmetric, so it doubles as the pairwise distance for
-// online bank compaction (the streaming pipeline clusters window patterns
-// under the same metric identification uses).
+// prefix-L1 of a against b, the L1 distance over their overlap plus a's
+// unexplained tail charged at its own values. It is not symmetric: only
+// the first argument's tail is charged, so d([1,2],[1,2,3]) = 0 while
+// d([1,2,3],[1,2]) = 3. It doubles as the pairwise distance for online
+// bank compaction (the streaming pipeline clusters window patterns under
+// the same metric identification uses), where the older pattern goes
+// first; see PatternMatrix.
 func PatternDistance(a, b []float64) float64 {
 	return prefixL1(a, b)
+}
+
+// PatternMatrix fills pairwise PatternDistance matrices. prefixL1(a, b)
+// equals Σ_{t<len(a)} |a[t] − b̃[t]| with b̃ the zero-padded b, term by
+// term in the same order, because x − 0 is exactly x for every float
+// (−0 and ±Inf included; NaN stays NaN). So the patterns are written into a
+// transposed, zero-padded column store, and each matrix row is one sweep:
+// for each bucket t of pattern i, every cell (i, j>i) adds
+// |pats[i][t] − column_t[j]|. Every cell keeps its own summation order,
+// so the matrix is bit-identical to a pair-at-a-time fill (up to NaN
+// payloads); each row's loops have one trip count and make no calls.
+// Window patterns are a few dozen buckets at most, which makes the
+// per-pair call and loop exits, not the additions, the pairwise fill's
+// cost.
+//
+// A zero PatternMatrix is ready to use; NewPatternMatrix sizes the column
+// store so that fills within its bounds allocate nothing.
+type PatternMatrix struct {
+	cols []float64 // cols[t·n+j] is bucket t of pattern j, 0 past its end
+}
+
+// NewPatternMatrix returns a PatternMatrix whose column store holds n
+// patterns of up to maxLen buckets without growing.
+func NewPatternMatrix(n, maxLen int) *PatternMatrix {
+	return &PatternMatrix{cols: make([]float64, 0, n*maxLen)}
+}
+
+// Fill sets dm to the pairwise matrix of pats, cell (i < j) being
+// PatternDistance(pats[i], pats[j]): the lower index is the first
+// argument. The fill is serial.
+func (pm *PatternMatrix) Fill(dm *distance.Matrix, pats [][]float64) {
+	n, width := len(pats), 0
+	for _, p := range pats {
+		width = max(width, len(p))
+	}
+	if need := n * width; cap(pm.cols) >= need {
+		pm.cols = pm.cols[:need]
+	} else {
+		pm.cols = make([]float64, need)
+	}
+	clear(pm.cols)
+	for j, p := range pats {
+		for t, x := range p {
+			pm.cols[t*n+j] = x
+		}
+	}
+	cols := pm.cols
+	dm.FillRows(n, func(i int, cells []float64) { fillPatternRow(cells, pats[i], cols, n, i) })
+}
+
+// fillPatternRow sweeps row i of an n-pattern column store: cells[k]
+// accumulates |a[t] − column_t[i+1+k]| over t in order, which is
+// PatternDistance(a, pats[i+1+k]) for a = pats[i]. Four buckets go per
+// pass, each cell's partial sum held in a register across them, so a pass
+// loads and stores every cell once; single-bucket passes finish the
+// pattern.
+func fillPatternRow(cells, a, cols []float64, n, i int) {
+	clear(cells)
+	m := len(cells)
+	t := 0
+	for ; t+4 <= len(a); t += 4 {
+		x0, x1, x2, x3 := a[t], a[t+1], a[t+2], a[t+3]
+		c0 := cols[t*n+i+1:][:m]
+		c1 := cols[(t+1)*n+i+1:][:m]
+		c2 := cols[(t+2)*n+i+1:][:m]
+		c3 := cols[(t+3)*n+i+1:][:m]
+		for k := range cells {
+			s := cells[k]
+			s += math.Abs(x0 - c0[k])
+			s += math.Abs(x1 - c1[k])
+			s += math.Abs(x2 - c2[k])
+			s += math.Abs(x3 - c3[k])
+			cells[k] = s
+		}
+	}
+	for ; t < len(a); t++ {
+		x, col := a[t], cols[t*n+i+1:][:m]
+		for k := range cells {
+			cells[k] += math.Abs(x - col[k])
+		}
+	}
 }
 
 // IdentifyPattern returns the bank index whose signature's leading portion

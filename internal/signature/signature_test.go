@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/distance"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -129,6 +130,34 @@ func TestPrefixL1ShortEntryPenalized(t *testing.T) {
 	}
 	if got := prefixL1(short, long); got != 0 {
 		t.Fatalf("prefix shorter than entry should match overlap only: %v", got)
+	}
+}
+
+// TestPatternDistanceArgumentOrder pins the distance's asymmetry — only the
+// first argument's tail is charged — and PatternMatrix's orientation: cell
+// (i < j) is PatternDistance(pats[i], pats[j]). A kernel that swapped the
+// arguments would flip both matrix cells below.
+func TestPatternDistanceArgumentOrder(t *testing.T) {
+	short, long := []float64{1, 2}, []float64{1, 2, 3}
+	if got := PatternDistance(short, long); got != 0 {
+		t.Fatalf("d([1,2],[1,2,3]) = %v, want 0", got)
+	}
+	if got := PatternDistance(long, short); got != 3 {
+		t.Fatalf("d([1,2,3],[1,2]) = %v, want 3", got)
+	}
+	var pm PatternMatrix
+	var dm distance.Matrix
+	for _, tc := range []struct {
+		pats [][]float64
+		want float64
+	}{
+		{[][]float64{short, long}, 0},
+		{[][]float64{long, short}, 3},
+	} {
+		pm.Fill(&dm, tc.pats)
+		if got := dm.At(0, 1); got != tc.want {
+			t.Fatalf("matrix over %v: cell (0,1) = %v, want d(pats[0], pats[1]) = %v", tc.pats, got, tc.want)
+		}
 	}
 }
 

@@ -38,6 +38,8 @@ func Differentials() []Differential {
 		{Name: "fault/evaluate-vs-bruteforce", Check: checkFaultEvaluate},
 		{Name: "causal/localizer-vs-bruteforce", Check: checkCausalLocalize},
 		{Name: "sched/policy-conservation", Check: checkPolicyConservation},
+		{Name: "signature/pattern-matrix-vs-pairwise", Check: checkPatternMatrix},
+		{Name: "cluster/kmedoids-vs-reference", Check: checkKMedoids},
 	}
 }
 
@@ -52,6 +54,14 @@ func randSeq(r *rand.Rand, n int) []float64 {
 		}
 	}
 	return s
+}
+
+// sameFloat reports whether a and b have the same bits or are both NaN.
+// Go leaves the payload of a NaN result unspecified: the compiler may
+// commute the operands of an addition, and x86 returns the first operand's
+// NaN, so two compilations of one expression can yield different NaN bits.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
 }
 
 // checkMatrixParallel: the parallel triangular fill must be bit-identical

@@ -49,15 +49,17 @@ func TestDifferentials(t *testing.T) {
 // check (or renaming one CI greps for) should be a deliberate act.
 func TestDifferentialNamesAreStable(t *testing.T) {
 	want := map[string]bool{
-		"matrix/parallel-vs-serial":      true,
-		"dtw/banded-vs-exact":            true,
-		"dtw/blocked-vs-reference":       true,
-		"signature/session-vs-naive":     true,
-		"signature/service-vs-naive":     true,
-		"pastrequests/ring-vs-recompute": true,
-		"fault/evaluate-vs-bruteforce":   true,
-		"causal/localizer-vs-bruteforce": true,
-		"sched/policy-conservation":      true,
+		"matrix/parallel-vs-serial":            true,
+		"dtw/banded-vs-exact":                  true,
+		"dtw/blocked-vs-reference":             true,
+		"signature/session-vs-naive":           true,
+		"signature/service-vs-naive":           true,
+		"pastrequests/ring-vs-recompute":       true,
+		"fault/evaluate-vs-bruteforce":         true,
+		"causal/localizer-vs-bruteforce":       true,
+		"sched/policy-conservation":            true,
+		"signature/pattern-matrix-vs-pairwise": true,
+		"cluster/kmedoids-vs-reference":        true,
 	}
 	got := Differentials()
 	if len(got) < len(want) {

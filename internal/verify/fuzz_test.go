@@ -54,14 +54,6 @@ func fuzzSignedSeq(data []byte, maxLen int) []float64 {
 	return s
 }
 
-// sameFloat reports whether a and b have the same bits or are both NaN.
-// Go leaves the payload of a NaN result unspecified: the compiler may
-// commute the operands of an addition, and x86 returns the first operand's
-// NaN, so two compilations of one expression can yield different NaN bits.
-func sameFloat(a, b float64) bool {
-	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
-}
-
 // FuzzDTW checks DTW invariants for arbitrary sequences, penalties, and
 // band widths: the row-blocked exact kernel is bit-identical to the
 // row-at-a-time reference; a band covering the grid is bit-identical to
@@ -149,6 +141,38 @@ func FuzzSignatureMatch(f *testing.F) {
 			s.Extend(b)
 			if got, want := s.Best(), bank.IdentifyPattern(prefix); got != want {
 				t.Fatalf("prefix len %d: session best %d, naive %d", len(prefix), got, want)
+			}
+		}
+	})
+}
+
+// FuzzPatternMatrix checks the column-sweep pattern matrix against
+// pair-at-a-time PatternDistance on adversarial populations: up to 12
+// patterns of 0–40 buckets over the signed decode (negative values, ±Inf,
+// NaN), every cell compared with sameFloat. Population encoding:
+// [len][len bytes]... as in FuzzSignatureMatch.
+func FuzzPatternMatrix(f *testing.F) {
+	f.Add([]byte{3, 1, 2, 3, 2, 1, 2, 0, 5, 0x7f, 0x80, 0x7e, 0xf0, 16})
+	f.Add([]byte{4, 0x80, 0x80, 0x80, 0x80, 4, 0x7f, 0x7f, 0x7f, 0x7f})
+	f.Add([]byte{40, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 1, 7, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var pats [][]float64
+		for i := 0; i < len(data) && len(pats) < 12; {
+			n := int(data[i] % 41)
+			i++
+			end := min(i+n, len(data))
+			pats = append(pats, fuzzSignedSeq(data[i:end], 40))
+			i = end
+		}
+		var pm signature.PatternMatrix
+		var dm distance.Matrix
+		pm.Fill(&dm, pats)
+		for i := range pats {
+			for j := i + 1; j < len(pats); j++ {
+				if got, want := dm.At(i, j), signature.PatternDistance(pats[i], pats[j]); !sameFloat(got, want) {
+					t.Fatalf("cell (%d,%d) len (%d,%d): column sweep %v, pairwise %v",
+						i, j, len(pats[i]), len(pats[j]), got, want)
+				}
 			}
 		}
 	})

@@ -332,6 +332,11 @@ func TestCommittedCorpusSubset(t *testing.T) {
 		{Experiment: "fig9", Seed: 1, Scale: 0.05},
 		{Experiment: "table2", Seed: 1, Scale: 0.05},
 		{Experiment: "faultanomaly", Seed: 1, Scale: 0.05},
+		// Bank maintenance (window compaction, merges, recalibration)
+		// feeds both of these, so a drift in any matrix cell or medoid
+		// shows here.
+		{Experiment: "serve", Seed: 1, Scale: 0.05},
+		{Experiment: "fleet", Seed: 1, Scale: 0.05},
 	}
 	rep, err := Sweep(cells, Options{Dir: "testdata/golden"})
 	if err != nil {
