@@ -39,8 +39,8 @@ test-dist:
 	$(GO) test -race ./internal/distributed/... ./internal/fault/...
 
 # GOMAXPROCS matrix leg: the concurrency-heavy packages (the distributed
-# stack, the experiment fan-out, and the serve engine's and fleet's worker
-# pools) must pass under the race detector at both 1 and 4 procs —
+# stack, the experiment fan-out, and the serve engine's worker pool) must
+# pass under the race detector at both 1 and 4 procs —
 # single-proc runs surface ordering assumptions that parallel runs mask, and
 # vice versa.
 # -count=1 defeats the test cache: GOMAXPROCS is read by the runtime, not

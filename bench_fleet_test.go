@@ -1,6 +1,6 @@
 // Benchmark for fleet mode (serve.Fleet): one op pushes 200k simulated
 // requests through the fleet pipeline — policy placement, per-package
-// contention snapshots, the parallel package phase, per-node bank
+// contention snapshots, package execution, per-node bank
 // compaction and fleet-wide merges — on the standard heterogeneous
 // 16-core fleet, after a warmup that grows every pool. The headline claims
 // are the steady-state allocation count (guarded at ~0 per request) and
@@ -24,16 +24,14 @@ import (
 // the flash crowd and several compaction/merge rounds, so queues, window
 // rings, and merge scratch reach steady-state sizes before the timer
 // starts.
-func benchFleet(b *testing.B, workers int, policy serve.FleetPolicy) *serve.Fleet {
+func benchFleet(b *testing.B, policy serve.FleetPolicy) *serve.Fleet {
 	b.Helper()
 	cfg := serve.DefaultFleetConfig(1)
-	cfg.Workers = workers
 	cfg.Policy = policy
 	f, err := serve.NewFleet(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(f.Close)
 	// 200k arrivals ≈ 8.3 virtual seconds: past the 5s flash crowd, ~16
 	// compaction rounds, ~4 fleet-wide bank merges.
 	f.Process(200_000)
@@ -48,17 +46,14 @@ func benchFleet(b *testing.B, workers int, policy serve.FleetPolicy) *serve.Flee
 func BenchmarkFleetSteadyState(b *testing.B) {
 	const perOp = 200_000
 	for _, bc := range []struct {
-		name    string
-		workers int
-		policy  serve.FleetPolicy
+		name   string
+		policy serve.FleetPolicy
 	}{
-		{"rr-serial", 1, serve.FleetRoundRobin},
-		{"rr-parallel", 0, serve.FleetRoundRobin},
-		{"ease-serial", 1, serve.FleetContentionEase},
-		{"ease-parallel", 0, serve.FleetContentionEase},
+		{"rr-serial", serve.FleetRoundRobin},
+		{"ease-serial", serve.FleetContentionEase},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			f := benchFleet(b, bc.workers, bc.policy)
+			f := benchFleet(b, bc.policy)
 			b.ReportAllocs()
 			var before, after runtime.MemStats
 			runtime.GC()
@@ -73,8 +68,7 @@ func BenchmarkFleetSteadyState(b *testing.B) {
 			if res.Arrivals == 0 || res.CompactionRounds == 0 || res.Merges == 0 {
 				b.Fatalf("fleet inert: %+v", res)
 			}
-			// The guard ignores the serial legs' worker pool being absent:
-			// every leg must hold ~0 allocations per request in steady state.
+			// Every leg must hold ~0 allocations per request in steady state.
 			if perReq := float64(after.Mallocs-before.Mallocs) / float64(b.N*perOp); perReq > 0.05 {
 				b.Fatalf("steady state allocates %.3f objects/request, want ~0", perReq)
 			}

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	rbvserve [-seed N] [-requests N] [-spec STREAM] [-workers N] [-trace]
-//	rbvserve -topology FLEET [-policy NAME] [-seed N] [-requests N] [-spec STREAM] [-workers N]
+//	rbvserve -topology FLEET [-policy NAME] [-seed N] [-requests N] [-spec STREAM]
 //
 // The run processes -requests arrivals (whole ticks, then a drain), prints
 // the engine's deterministic result table, and appends the identify-path
@@ -30,8 +30,8 @@
 // -policy picks the placement policy from the serve package's registry by
 // canonical name or alias: "round-robin" ("rr", the default), "contention-
 // easing" ("ease"), or "scale-out" ("scale", reactive node activation from
-// the queued-high saturation signal). Fleet results are bit-identical
-// across repeats and -workers settings.
+// the queued-high saturation signal). The fleet runs on one goroutine and
+// ignores -workers; its results are bit-identical across repeats.
 package main
 
 import (
@@ -60,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", 1, "master random seed (runs are reproducible per seed)")
 	requests := fs.Int("requests", 1_000_000, "number of arrivals to process before draining")
 	spec := fs.String("spec", "", "stream spec overriding the default arrival process (see workload.ParseStream)")
-	workers := fs.Int("workers", 0, "goroutines driving the shard phase (0 = GOMAXPROCS; never changes results)")
+	workers := fs.Int("workers", 0, "engine mode only: goroutines driving the shard phase (0 = GOMAXPROCS; never changes results)")
 	traceOut := fs.Bool("trace", false, "print the observability counter summary after the run")
 	topoSpec := fs.String("topology", "", "fleet mode: \"/\"-separated node topologies (see machine.ParseFleet)")
 	policy := fs.String("policy", "rr", "fleet placement policy: "+strings.Join(serve.FleetPolicyNames(), ", ")+" (aliases: rr, ease, scale)")
@@ -72,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *topoSpec != "" {
-		return runFleet(*topoSpec, *policy, *seed, *requests, *spec, *workers, stdout, stderr)
+		return runFleet(*topoSpec, *policy, *seed, *requests, *spec, stdout, stderr)
 	}
 
 	cfg := serve.DefaultConfig(*seed)
@@ -126,7 +126,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // runFleet is the -topology path: the stream sharded across a simulated
 // fleet under the selected placement policy.
-func runFleet(topoSpec, policy string, seed int64, requests int, spec string, workers int, stdout, stderr io.Writer) int {
+func runFleet(topoSpec, policy string, seed int64, requests int, spec string, stdout, stderr io.Writer) int {
 	nodes, err := machine.ParseFleet(topoSpec)
 	if err != nil {
 		fmt.Fprintf(stderr, "rbvserve: %v\n", err)
@@ -134,7 +134,6 @@ func runFleet(topoSpec, policy string, seed int64, requests int, spec string, wo
 	}
 	cfg := serve.DefaultFleetConfig(seed)
 	cfg.Nodes = nodes
-	cfg.Workers = workers
 	pol, err := serve.ParseFleetPolicy(policy)
 	if err != nil {
 		fmt.Fprintf(stderr, "rbvserve: %v\n", err)
@@ -157,7 +156,6 @@ func runFleet(topoSpec, policy string, seed int64, requests int, spec string, wo
 		fmt.Fprintf(stderr, "rbvserve: %v\n", err)
 		return 1
 	}
-	defer f.Close()
 
 	start := time.Now()
 	f.Process(requests)

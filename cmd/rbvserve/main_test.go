@@ -82,8 +82,7 @@ func TestRunTrace(t *testing.T) {
 	}
 }
 
-// Fleet mode: -topology shards the stream across a simulated fleet and the
-// deterministic portion of its output is stable across worker counts.
+// Fleet mode: -topology shards the stream across a simulated fleet.
 func TestRunFleetMode(t *testing.T) {
 	args := []string{"-topology", "pkg=2,2/pkg=4:1.15:8", "-policy", "ease", "-requests", "15000", "-seed", "4"}
 	code, out, errs := cli(t, args...)
@@ -94,11 +93,6 @@ func TestRunFleetMode(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("fleet output missing %q:\n%s", want, out)
 		}
-	}
-	_, a, _ := cli(t, append(args, "-workers", "1")...)
-	_, b, _ := cli(t, append(args, "-workers", "4")...)
-	if da, db := deterministicLines(a), deterministicLines(b); da != db {
-		t.Fatalf("fleet workers=1 and workers=4 diverge:\n%s\n---\n%s", da, db)
 	}
 }
 

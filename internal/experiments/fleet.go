@@ -73,7 +73,6 @@ func Fleet(cfg Config) (*FleetResult, error) {
 		f.Process(requests)
 		f.Drain()
 		r := f.Result()
-		f.Close()
 		if pol == serve.FleetRoundRobin {
 			res.RR = r
 		} else {

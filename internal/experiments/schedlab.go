@@ -165,7 +165,6 @@ func SchedLab(cfg Config) (*SchedLabResult, error) {
 		f.Process(freq)
 		f.Drain()
 		r := f.Result()
-		f.Close()
 		out.Fleet = append(out.Fleet, SchedLabFleetRow{
 			Policy:      info.Name,
 			Completed:   r.Completed,

