@@ -14,7 +14,10 @@ check: vet maporder build test test-dist bench
 
 # perfbench is a module of its own, outside ./..., so it is vetted
 # separately: an internal API change that breaks the benchmark fails here.
+# gofmt -l lists every unformatted file under the repo (perfbench included);
+# any output fails the target.
 vet:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	cd perfbench && $(GO) vet ./...
 

@@ -2,9 +2,9 @@
 // serving scale): a 500-entry signature bank matched against streaming
 // prefixes that grow bucket by bucket, the per-request hot path of online
 // CPU-usage prediction. Variants: the naive full rescan per update, the
-// incremental per-session accumulation, the pruned lower-bound cascade,
-// and the sharded concurrent service. A one-time golden check asserts all
-// variants identify exactly the same bank entries as the naive matcher.
+// incremental per-session accumulation, and the pruned lower-bound
+// cascade. A one-time golden check asserts all variants identify exactly
+// the same bank entries as the naive matcher.
 //
 // Run with:
 //
@@ -13,7 +13,6 @@ package repro_test
 
 import (
 	"math"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/signature"
@@ -125,27 +124,6 @@ func BenchmarkIdentify(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkIdentifyService measures the sharded concurrent service: each
-// parallel worker streams its own in-flight requests (RunParallel scales
-// the in-flight count with GOMAXPROCS).
-func BenchmarkIdentifyService(b *testing.B) {
-	bank, streams := identifyFixture()
-	svc := signature.NewService(signature.NewMatcher(bank), 0)
-	var ids atomic.Uint64
-	b.RunParallel(func(pb *testing.PB) {
-		id := ids.Add(1) << 32
-		for pb.Next() {
-			id++
-			stream := streams[int(id)%len(streams)]
-			for _, v := range stream {
-				svc.Observe(id, v)
-			}
-			svc.Finish(id)
-		}
-	})
-	b.ReportMetric(float64(identifyStreamLen), "updates/req")
 }
 
 // BenchmarkIdentifyCompactBank quantifies bank compaction: the cascade

@@ -1,6 +1,6 @@
 // BenchmarkObsOverhead quantifies the observability layer's cost on the
 // two hottest instrumented paths — the simulated kernel's scheduling loop
-// and the signature service's per-update cascade — with the collector
+// and the signature session's per-update cascade — with the collector
 // detached (the production default: nil handles, one branch per hook
 // site), fully attached, and attached in 1-in-64 sampling mode. The
 // disabled/enabled ratio is the ISSUE's <2% regression budget.
@@ -22,8 +22,8 @@ import (
 
 // BenchmarkObsOverhead/kernel-* run a small closed-loop web workload (the
 // highest event rate per request of the five applications) through
-// core.Run; /session-* stream prefixes through the sharded signature
-// service as in BenchmarkIdentifyService.
+// core.Run; /session-* stream prefixes through signature sessions, one per
+// parallel goroutine, reset between requests.
 func BenchmarkObsOverhead(b *testing.B) {
 	kernelRun := func(b *testing.B, col *obs.Collector) {
 		app := workload.NewWebServer()
@@ -50,19 +50,20 @@ func BenchmarkObsOverhead(b *testing.B) {
 
 	sessionRun := func(b *testing.B, col *obs.Collector) {
 		bank, streams := identifyFixture()
-		svc := signature.NewService(signature.NewMatcher(bank), 0)
-		svc.SetObserver(col)
-		var ids atomic.Uint64
+		matcher := signature.NewMatcher(bank)
+		var workers atomic.Uint64
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
-			id := ids.Add(1) << 32
+			ses := matcher.NewSession()
+			ses.SetObserver(col)
+			next := int(workers.Add(1))
 			for pb.Next() {
-				id++
-				stream := streams[int(id)%len(streams)]
-				for _, v := range stream {
-					svc.Observe(id, v)
+				next++
+				ses.Reset()
+				for _, v := range streams[next%len(streams)] {
+					ses.Extend(v)
+					ses.Best()
 				}
-				svc.Finish(id)
 			}
 		})
 	}

@@ -18,7 +18,7 @@ import (
 )
 
 // benchServeEngine builds a default engine and warms it past its first
-// compactions so pools, free lists, and matcher envelopes reach their
+// compactions so pools, sessions, and matcher envelopes reach their
 // steady-state sizes before the timer starts.
 func benchServeEngine(b *testing.B, workers int) *serve.Engine {
 	b.Helper()
@@ -31,8 +31,8 @@ func benchServeEngine(b *testing.B, workers int) *serve.Engine {
 	b.Cleanup(e.Close)
 	// Warm through the burst window, a full beat period of the two load
 	// sinusoids (lcm of 50ms and 330ms ≈ 1.65s virtual ≈ 1.3M requests),
-	// and ≥16 compaction cycles, so every pool, free list, and session map
-	// has seen peak depth and reached its steady-state size.
+	// and ≥16 compaction cycles, so every pool and session has seen peak
+	// depth and reached its steady-state size.
 	e.Process(1_700_000)
 	return e
 }

@@ -10,8 +10,8 @@
 //
 // The run processes -requests arrivals (whole ticks, then a drain), prints
 // the engine's deterministic result table, and appends the identify-path
-// latency profile (p50/p99/p999 wall nanoseconds per ObserveScored call —
-// the one output that is *not* deterministic, since it measures the real
+// latency profile (p50/p99/p999 wall nanoseconds per chunk identification
+// — the one output that is *not* deterministic, since it measures the real
 // clock). -spec overrides the arrival process using the compact stream
 // syntax (see workload.ParseStream):
 //

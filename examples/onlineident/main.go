@@ -1,9 +1,8 @@
 // Online identification: the paper's Section 4.4 per-request CPU-usage
 // prediction run as a serving subsystem. A signature bank is built from
 // traced TPC-C requests and compacted to its medoid signatures; the
-// remaining requests then stream through the concurrent identification
-// service — many in-flight at once, re-identified after every arriving
-// bucket, the way a production tier would consult predictions while
+// remaining requests then stream through concurrent identification
+// sessions — one per worker, re-identified after every arriving bucket, the way a production tier would consult predictions while
 // requests execute — and the demo reports prediction accuracy and
 // fast-path throughput against the naive full-rescan matcher.
 package main
@@ -55,7 +54,7 @@ func main() {
 	}
 
 	for _, bank := range []*signature.Bank{full, compact} {
-		svc := signature.NewService(signature.NewMatcher(bank), 0)
+		matcher := signature.NewMatcher(bank)
 
 		var updates, correct, early atomic.Int64
 		start := time.Now()
@@ -65,37 +64,38 @@ func main() {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				ses := matcher.NewSession()
 				for {
 					i := int(cursor.Add(1)) - 1
 					if i >= len(streams) {
 						return
 					}
-					id := uint64(i)
 					actual := float64(test[i].CPUTime()) > bank.ThresholdNs
 					// Stream the request bucket by bucket, consulting the
 					// prediction after every arrival.
+					ses.Reset()
 					settled := -1
 					for pos, v := range streams[i] {
-						best := svc.Observe(id, v)
+						ses.Extend(v)
+						best := ses.Best()
 						if settled < 0 && bank.HighUsage(best) == actual {
 							settled = pos
 						}
 						updates.Add(1)
 					}
-					if bank.HighUsage(svc.Best(id)) == actual {
+					if bank.HighUsage(ses.Best()) == actual {
 						correct.Add(1)
 						if settled == 0 {
 							early.Add(1)
 						}
 					}
-					svc.Finish(id)
 				}
 			}()
 		}
 		wg.Wait()
 		elapsed := time.Since(start)
 
-		fmt.Printf("\n%4d-entry bank: %d in-flight requests, %d streaming updates in %v\n",
+		fmt.Printf("\n%4d-entry bank: %d requests, %d streaming updates in %v\n",
 			len(bank.Entries), len(streams), updates.Load(), elapsed.Round(time.Microsecond))
 		fmt.Printf("     throughput: %.2fM updates/s across %d workers\n",
 			float64(updates.Load())/elapsed.Seconds()/1e6, runtime.GOMAXPROCS(0))

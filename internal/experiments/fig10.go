@@ -98,11 +98,15 @@ func Figure10(cfg Config) (*Figure10Result, error) {
 
 		// Pattern identification runs through the streaming fast path: one
 		// in-flight session per test request, held across progress steps so
-		// each step's matching is incremental, driven concurrently by the
-		// sharded service. Sessions return exactly what IdentifyPattern
+		// each step's matching is incremental. Workers touch only their own
+		// request's session. Sessions return exactly what IdentifyPattern
 		// returns for the same prefix, so the curves are unchanged.
-		svc := signature.NewService(signature.NewMatcher(bank), 0)
-		svc.SetObserver(cfg.Obs)
+		matcher := signature.NewMatcher(bank)
+		sessions := make([]*signature.Session, len(test))
+		for i := range sessions {
+			sessions[i] = matcher.NewSession()
+			sessions[i].SetObserver(cfg.Obs)
+		}
 		for step := 1; step <= 10; step++ {
 			progress := float64(step) * unit
 			var patWrong, avgWrong atomic.Int64
@@ -110,7 +114,8 @@ func Figure10(cfg Config) (*Figure10Result, error) {
 				tr := test[i]
 				actual := float64(tr.CPUTime()) > bank.ThresholdNs
 				prefix := prefixPattern(tr, metrics.L2RefsPerIns, progress, unit)
-				if bank.HighUsage(svc.Update(uint64(i), prefix)) != actual {
+				sessions[i].Update(prefix)
+				if bank.HighUsage(sessions[i].Best()) != actual {
 					patWrong.Add(1)
 				}
 				avg := prefixAverage(tr, metrics.L2RefsPerIns, progress)
@@ -121,9 +126,6 @@ func Figure10(cfg Config) (*Figure10Result, error) {
 			fa.Steps = append(fa.Steps, step)
 			fa.PatternErr = append(fa.PatternErr, float64(patWrong.Load())/float64(len(test)))
 			fa.AverageErr = append(fa.AverageErr, float64(avgWrong.Load())/float64(len(test)))
-		}
-		for i := range test {
-			svc.Finish(uint64(i))
 		}
 		out.Apps = append(out.Apps, fa)
 	}

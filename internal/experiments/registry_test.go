@@ -62,7 +62,7 @@ func TestRegistryEntryScopesSpans(t *testing.T) {
 // TestTracingDoesNotPerturbResults is the tentpole's golden guarantee: an
 // attached collector — full or sampling — must leave every experiment's
 // rendered output bit-identical to the uninstrumented run. fig1 exercises
-// the kernel spans, fig7 the distance engine, fig10 the signature service.
+// the kernel spans, fig7 the distance engine, fig10 the signature sessions.
 func TestTracingDoesNotPerturbResults(t *testing.T) {
 	cases := []string{"fig1", "fig7", "fig10"}
 	for _, name := range cases {

@@ -134,10 +134,10 @@ type RequestRun struct {
 	phaseStart  sim.Time // when the current phase began (observability spans)
 	insIntoRun  float64  // app instructions completed over the whole request
 	insInPhase  float64  // app instructions completed in the current phase
-	nextSyscall float64 // insInPhase position of the next within-phase syscall
-	syscallIdx  int     // cycles through Phase.Syscalls
-	entryPend   string  // syscall to issue before the current phase starts
-	phaseFresh  bool    // the current phase has not begun executing yet
+	nextSyscall float64  // insInPhase position of the next within-phase syscall
+	syscallIdx  int      // cycles through Phase.Syscalls
+	entryPend   string   // syscall to issue before the current phase starts
+	phaseFresh  bool     // the current phase has not begun executing yet
 	started     bool
 	waiters     []*Thread // upstream threads blocked on this request
 }

@@ -11,8 +11,8 @@
 // bit-identical across repeats and GOMAXPROCS settings. Parallelism only
 // changes wall-clock time — each shard's work is independent, and all
 // cross-shard aggregation happens serially in shard order. The steady
-// state allocates nothing: queues are preallocated double buffers,
-// sessions recycle through the Service's free lists, and compaction runs
+// state allocates nothing: queues are preallocated, each shard reuses its
+// one identification session for every request, and compaction runs
 // entirely in pooled scratch (distance.Matrix.Fill, cluster.Scratch,
 // Matcher.Rebuild).
 package serve
@@ -33,7 +33,7 @@ type Config struct {
 	Stream workload.StreamConfig
 
 	// Shards is the number of virtual service cores (rounded up to a power
-	// of two). Each shard has its own request queue, session shard, and a
+	// of two). Each shard has its own request queue, session, and a
 	// per-tick processing budget of TickNs virtual nanoseconds, so total
 	// virtual capacity is Shards×TickNs per tick.
 	Shards int
@@ -170,8 +170,17 @@ func (c Config) normalize() (Config, error) {
 	if c.CompactTicks <= 0 {
 		return c, fmt.Errorf("serve: CompactTicks must be positive, got %d", c.CompactTicks)
 	}
-	if c.CostPerCallNs < 0 || c.CostPerBucketNs < 0 || c.CostDegradedNs <= 0 {
-		return c, fmt.Errorf("serve: virtual costs must be non-negative (degraded positive)")
+	if c.CostPerCallNs < 0 {
+		return c, fmt.Errorf("serve: CostPerCallNs must be non-negative, got %d", c.CostPerCallNs)
+	}
+	if c.CostPerBucketNs < 0 {
+		return c, fmt.Errorf("serve: CostPerBucketNs must be non-negative, got %d", c.CostPerBucketNs)
+	}
+	if c.CostDegradedNs <= 0 {
+		return c, fmt.Errorf("serve: CostDegradedNs must be positive, got %d", c.CostDegradedNs)
+	}
+	if c.CostDegradedNs > c.TickNs {
+		return c, fmt.Errorf("serve: CostDegradedNs (%d) exceeds the tick budget (%d): a degraded request could never complete", c.CostDegradedNs, c.TickNs)
 	}
 	if minCost := c.CostPerCallNs + int64(c.ChunkBuckets)*c.CostPerBucketNs; minCost > c.TickNs {
 		return c, fmt.Errorf("serve: one identify chunk (%d virtual ns) exceeds the tick budget (%d): the queue could never drain", minCost, c.TickNs)

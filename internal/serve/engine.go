@@ -5,14 +5,15 @@
 //     or shed it when the shard queue is full.
 //  2. Process (parallel): shard workers burn their per-tick virtual budget
 //     on their own queues, oldest request first, feeding pattern chunks
-//     through the shared signature Service. Shards are claimed off an
-//     atomic counter by a persistent worker pool; every shard's work is a
-//     pure function of its queue, so worker scheduling cannot change
-//     results.
+//     through the shard's one identification session. Shards are claimed
+//     off an atomic counter by a persistent worker pool; every shard's
+//     work is a pure function of its queue, so worker scheduling cannot
+//     change results.
 //  3. Aggregate (serial, shard order): merge tick tallies, append
 //     completions to the sliding window, compact queues, and — every
 //     CompactTicks — rebuild the signature bank and recalibrate the
-//     anomaly threshold (bank.go), then rebind the matcher to the new bank.
+//     anomaly threshold (bank.go), then rebind the matcher and every
+//     shard's session to the new bank.
 package serve
 
 import (
@@ -26,10 +27,8 @@ import (
 )
 
 // req is one queued in-flight request. Records live in preallocated
-// per-shard double buffers and are moved by value; the id links the record
-// to its identification session inside the Service.
+// per-shard queues and are moved by value.
 type req struct {
-	id        uint64
 	arrivalNs int64
 	drift     float64
 	cpuNs     float64
@@ -39,7 +38,6 @@ type req struct {
 	patLen    int32
 	anom      bool
 	degraded  bool
-	done      bool
 	predDone  bool
 	predHigh  bool
 }
@@ -56,15 +54,21 @@ type shardTally struct {
 	scoreSum          float64
 }
 
-// shardState is one virtual service core: its queue double buffer, chunk
-// scratch, tick tally, and completion buffer. Only its owning worker
-// touches it during the parallel phase.
+// shardState is one virtual service core: its queue, identification
+// session, chunk scratch, tick tally, and completion buffer. Only its
+// owning worker touches it during the parallel phase.
 type shardState struct {
-	q, qNext []req
-	chunk    []float64
-	winBuf   []winRec
-	tally    shardTally
-	depth    int // peak queue depth seen on this shard
+	q []req
+	// ses is the identification state of the queue head. A shard stops at
+	// the first request its budget cannot finish, so only q[0] can be
+	// mid-identification; every other request either completed this tick
+	// or has not started. One session per shard therefore serves them all.
+	ses    *signature.Session
+	chunk  []float64
+	winBuf []winRec
+	tally  shardTally
+	done   int // requests completed this tick: always a prefix of q
+	depth  int // peak queue depth seen on this shard
 	// Pad to keep neighboring shards off each other's cache lines.
 	_ [64]byte
 }
@@ -80,7 +84,6 @@ type Engine struct {
 	// it at constant cost.
 	tmplCache [][]tmplMatch
 
-	svc     *signature.Service
 	matcher *signature.Matcher
 	// bm owns the signature bank, its anomaly threshold, and the sliding
 	// window that feeds compaction.
@@ -105,11 +108,12 @@ type Engine struct {
 
 	hist                                              *obs.Histogram
 	cArrivals, cShed, cDegraded, cCompleted, cFlagged *obs.Counter
+	cSessionsReused                                   *obs.Counter
 }
 
 // New builds the engine: template libraries, the initial signature bank
-// (the templates themselves, so identification works from tick zero), the
-// sharded session service, and the persistent worker pool.
+// (the templates themselves, so identification works from tick zero), one
+// identification session per shard, and the persistent worker pool.
 func New(cfg Config) (*Engine, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -135,7 +139,6 @@ func New(cfg Config) (*Engine, error) {
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.q = make([]req, 0, cfg.QueueCap)
-		sh.qNext = make([]req, 0, cfg.QueueCap)
 		sh.chunk = make([]float64, cfg.ChunkBuckets)
 		sh.winBuf = make([]winRec, 0, cfg.QueueCap)
 	}
@@ -144,12 +147,16 @@ func New(cfg Config) (*Engine, error) {
 		e.tmplCache[a] = make([]tmplMatch, len(tmpl[a]))
 	}
 	e.buildMatcher()
-	e.svc = signature.NewService(e.matcher, cfg.Shards)
+	for i := range e.shards {
+		e.shards[i].ses = e.matcher.NewSession()
+		e.shards[i].ses.SetObserver(cfg.Obs)
+	}
 	e.refreshTemplateCache()
 	e.hist = obs.NewHistogram("serve.identify.ns")
 	if c := cfg.Obs; c != nil {
 		c.RegisterHistogram(e.hist)
-		e.svc.SetObserver(c)
+		c.Counter("signature.sessions.created").Add(uint64(len(e.shards)))
+		e.cSessionsReused = c.Counter("signature.sessions.reused")
 		e.cArrivals = c.Counter("serve.arrivals")
 		e.cShed = c.Counter("serve.shed")
 		e.cDegraded = c.Counter("serve.degraded")
@@ -227,9 +234,8 @@ func log2(n int) int {
 	return k
 }
 
-// shardFor mirrors the Service's Fibonacci-hash sharding, so each engine
-// shard drives exactly one Service shard and the parallel phase never
-// contends on session locks.
+// shardFor spreads request IDs over the shards by Fibonacci hashing, which
+// scatters sequential IDs, the common case, across all of them.
 func (e *Engine) shardFor(id uint64) *shardState {
 	if len(e.shards) == 1 {
 		return &e.shards[0]
@@ -252,14 +258,7 @@ func (e *Engine) Process(n int) {
 func (e *Engine) Drain() {
 	for {
 		e.runTick(false)
-		empty := true
-		for i := range e.shards {
-			if len(e.shards[i].q) > 0 {
-				empty = false
-				break
-			}
-		}
-		if empty {
+		if e.Queued() == 0 {
 			return
 		}
 	}
@@ -291,11 +290,14 @@ func (e *Engine) runTick(ingest bool) int {
 	e.tick++
 	if e.tick%uint64(e.cfg.CompactTicks) == 0 && e.bm.compact() {
 		// Swap the bank under live traffic: rebuild the envelope in place,
-		// rebind every live and pooled session (their next identification
-		// re-runs the full prefix against the new bank, bit-identical to a
-		// fresh session), and refresh the degraded-path cache.
+		// rebind every shard's session (a mid-identification head's next
+		// identification re-runs its full prefix against the new bank,
+		// bit-identical to a fresh session), and refresh the degraded-path
+		// cache.
 		e.matcher.Rebuild(e.bm.bank)
-		e.svc.SetMatcher(e.matcher)
+		for i := range e.shards {
+			e.shards[i].ses.Rebind(e.matcher)
+		}
 		e.refreshTemplateCache()
 	}
 	return arrivals
@@ -339,7 +341,6 @@ func (e *Engine) ingest(tickEnd int64) int {
 			e.cDegraded.Add(1)
 		}
 		sh.q = append(sh.q, req{
-			id:        e.nextID,
 			arrivalNs: a.TimeNs,
 			drift:     drift,
 			cpuNs:     cpu,
@@ -357,8 +358,8 @@ func (e *Engine) ingest(tickEnd int64) int {
 }
 
 // processShard burns one shard's tick budget on its queue, oldest request
-// first. It touches only the shard's own state and the Service shard its
-// requests hash to, so concurrent shards never conflict.
+// first. It touches only the shard's own state, so concurrent shards never
+// conflict.
 func (e *Engine) processShard(sh *shardState) {
 	budget := e.cfg.TickNs
 	for i := range sh.q {
@@ -390,12 +391,17 @@ func (e *Engine) processShard(sh *shardState) {
 				return
 			}
 			budget -= cost
+			if r.pos == 0 {
+				sh.ses.Reset()
+				e.cSessionsReused.Add(1)
+			}
 			pat := e.tmpl[r.app][r.tmpl].pattern
 			for k := int32(0); k < nb; k++ {
 				sh.chunk[k] = patternValue(pat, int(r.pos+k), r.drift, r.anom)
 			}
 			t0 := time.Now()
-			best, dist := e.svc.ObserveScored(r.id, sh.chunk[:nb]...)
+			sh.ses.Extend(sh.chunk[:nb]...)
+			best, dist := sh.ses.Best(), sh.ses.BestDistance()
 			e.hist.Observe(int64(time.Since(t0)))
 			r.pos += nb
 			if !r.predDone && r.pos >= (r.patLen+1)/2 {
@@ -407,7 +413,6 @@ func (e *Engine) processShard(sh *shardState) {
 				}
 			}
 			if r.pos == r.patLen {
-				e.svc.Finish(r.id)
 				e.complete(sh, r, dist/float64(r.patLen), false)
 			}
 		}
@@ -417,7 +422,7 @@ func (e *Engine) processShard(sh *shardState) {
 // complete finalizes a request on its shard: anomaly scoring against the
 // calibrated threshold, tick tallies, and the window record.
 func (e *Engine) complete(sh *shardState, r *req, score float64, degraded bool) {
-	r.done = true
+	sh.done++
 	sh.tally.completed++
 	if degraded {
 		sh.tally.completedDegraded++
@@ -456,15 +461,10 @@ func (e *Engine) aggregate() {
 			e.res.MaxShardDepth = sh.depth
 		}
 		// Queue compaction: processing stops at the first request the
-		// budget could not finish, so survivors are contiguous in arrival
-		// order; copying them preserves FIFO.
-		sh.qNext = sh.qNext[:0]
-		for _, r := range sh.q {
-			if !r.done {
-				sh.qNext = append(sh.qNext, r)
-			}
-		}
-		sh.q, sh.qNext = sh.qNext, sh.q
+		// budget could not finish, so the completions are a prefix of the
+		// queue and shifting the survivors down preserves FIFO.
+		sh.q = sh.q[:copy(sh.q, sh.q[sh.done:])]
+		sh.done = 0
 	}
 	e.res.Ticks++
 }
@@ -479,7 +479,8 @@ func (e *Engine) Queued() int {
 }
 
 // Histogram returns the identify-path latency histogram (wall-clock
-// nanoseconds per Service call; observability only, never fingerprinted).
+// nanoseconds per chunk identification; observability only, never
+// fingerprinted).
 func (e *Engine) Histogram() *obs.Histogram { return e.hist }
 
 // Result snapshots the run's deterministic outcome.

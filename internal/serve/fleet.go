@@ -234,6 +234,9 @@ func (c FleetConfig) normalize() (FleetConfig, error) {
 	if c.CostDegradedNs <= 0 {
 		return c, fmt.Errorf("serve: FleetConfig.CostDegradedNs must be positive, got %d", c.CostDegradedNs)
 	}
+	if c.CostDegradedNs > c.TickNs {
+		return c, fmt.Errorf("serve: FleetConfig.CostDegradedNs (%d) exceeds the tick budget (%d): a degraded request could never complete", c.CostDegradedNs, c.TickNs)
+	}
 	if c.TemplatesPerApp <= 0 {
 		return c, fmt.Errorf("serve: FleetConfig.TemplatesPerApp must be positive, got %d", c.TemplatesPerApp)
 	}

@@ -232,6 +232,7 @@ func TestFleetConfigValidation(t *testing.T) {
 		{func(c *FleetConfig) { c.DegradeDepth = 0 }, "FleetConfig.DegradeDepth"},
 		{func(c *FleetConfig) { c.DegradeDepth = c.QueueCap + 1 }, "FleetConfig.DegradeDepth"},
 		{func(c *FleetConfig) { c.CostDegradedNs = 0 }, "FleetConfig.CostDegradedNs"},
+		{func(c *FleetConfig) { c.CostDegradedNs = 2 * c.TickNs }, "FleetConfig.CostDegradedNs"},
 		{func(c *FleetConfig) { c.MaxPatternLen = 0 }, "FleetConfig.MaxPatternLen"},
 		{func(c *FleetConfig) { c.WindowSize = 1 }, "FleetConfig.WindowSize"},
 		{func(c *FleetConfig) { c.CompactTicks = 0 }, "FleetConfig.CompactTicks"},

@@ -162,6 +162,42 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestEngineOneSessionPerShard pins the property one session per shard
+// rests on: after every tick, at most one request per shard is
+// mid-identification, and it is the queue head.
+func TestEngineOneSessionPerShard(t *testing.T) {
+	cfg := testConfig(9)
+	cfg.Stream.RatePerSec = 3_000_000
+	// Template patterns are shorter than the default chunk; two-bucket
+	// chunks make most requests span several identify calls, so budgets
+	// run out mid-request.
+	cfg.ChunkBuckets = 2
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var midHeads int
+	for tick := 0; tick < 200; tick++ {
+		e.runTick(true)
+		for s := range e.shards {
+			for i, r := range e.shards[s].q {
+				if r.pos == 0 || r.pos == r.patLen {
+					continue
+				}
+				if i != 0 {
+					t.Fatalf("tick %d shard %d: request %d of %d is mid-identification (pos %d/%d)",
+						tick, s, i, len(e.shards[s].q), r.pos, r.patLen)
+				}
+				midHeads++
+			}
+		}
+	}
+	if degraded := e.Result().Degraded; midHeads == 0 || degraded == 0 {
+		t.Fatalf("test never loaded the shards: %d mid-identification heads, %d degraded", midHeads, degraded)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	cases := []struct {
 		mut  func(*Config)
@@ -180,7 +216,10 @@ func TestConfigValidation(t *testing.T) {
 		{func(c *Config) { c.BankK = 0 }, "serve: BankK"},
 		{func(c *Config) { c.CalibrationQuantile = 1.5 }, "serve: CalibrationQuantile"},
 		{func(c *Config) { c.CalibrationHeadroom = 0 }, "serve: CalibrationHeadroom"},
-		{func(c *Config) { c.CostDegradedNs = 0 }, "virtual costs"},
+		{func(c *Config) { c.CostPerCallNs = -1 }, "serve: CostPerCallNs"},
+		{func(c *Config) { c.CostPerBucketNs = -1 }, "serve: CostPerBucketNs"},
+		{func(c *Config) { c.CostDegradedNs = 0 }, "serve: CostDegradedNs"},
+		{func(c *Config) { c.CostDegradedNs = 2 * c.TickNs }, "serve: CostDegradedNs"},
 		{func(c *Config) { c.CostPerBucketNs = c.TickNs }, "tick budget"},
 	}
 	for _, tc := range cases {

@@ -13,7 +13,7 @@ const paaSegment = 8
 
 // Matcher is an immutable view of a Bank prepared for streaming
 // identification. It is safe for concurrent use: any number of Sessions
-// (and Services) may read it at once.
+// may read it at once.
 type Matcher struct {
 	bank *Bank
 	// segSums[e][k] is the sum of entry e's pattern buckets in segment k
@@ -34,9 +34,9 @@ func NewMatcher(b *Bank) *Matcher {
 // envelope in place and reusing the segment-sum storage — repeated
 // rebuilds over same-shaped banks reach an allocation-free steady state.
 // Rebuild breaks the immutability contract for its duration: the caller
-// must guarantee no Session or Service is reading the matcher while it
-// runs (the serving pipeline rebuilds only in its serial compaction
-// phase, after draining or rebinding every live session).
+// must guarantee no Session is reading the matcher while it runs (the
+// serving pipeline rebuilds only in its serial compaction phase, then
+// rebinds every shard's session).
 func (m *Matcher) Rebuild(b *Bank) {
 	m.bank = b
 	if cap(m.segSums) >= len(b.Entries) {

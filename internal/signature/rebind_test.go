@@ -58,71 +58,61 @@ func TestMatcherRebuildMatchesNew(t *testing.T) {
 	}
 }
 
-// TestServiceSetMatcher: swapping the bank under a service must rebind
-// live sessions (keeping their prefixes) and pooled free sessions, and
-// subsequent observations must match naive identification on the new
-// bank.
-func TestServiceSetMatcher(t *testing.T) {
+// TestSessionRebindMidRequestAndIdle: a session reused across requests
+// the way a serving shard drives it. A bank swap lands either mid-request
+// (the observed prefix is kept and re-identified against the new bank) or
+// between requests (the idle session is rebound, then Reset for the next
+// request); either way every result must equal naive identification on
+// the new bank.
+func TestSessionRebindMidRequestAndIdle(t *testing.T) {
 	g := sim.NewRNG(79)
-	oldBank := randomBank(g, 20, 30)
-	newBank := randomBank(g, 35, 30)
-	svc := NewService(NewMatcher(oldBank), 4)
-
-	streams := make([][]float64, 16)
-	for id := range streams {
-		streams[id] = randomStream(g, oldBank, 40)
-	}
-	// Half the requests finish before the swap (populating free lists),
-	// half stay live across it.
-	for id, st := range streams {
+	banks := []*Bank{randomBank(g, 20, 30), randomBank(g, 35, 30)}
+	cur := 0
+	ses := NewMatcher(banks[cur]).NewSession()
+	for req := 0; req < 16; req++ {
+		st := randomStream(g, banks[cur], 40)
+		ses.Reset()
 		cut := len(st) / 2
-		svc.ObserveScored(uint64(id), st[:cut]...)
-		if id%2 == 0 {
-			svc.Finish(uint64(id))
+		ses.Extend(st[:cut]...)
+		ses.Best()
+		if req%2 == 1 {
+			// Mid-request: prefix observed against the old bank, tail
+			// against the new.
+			cur = 1 - cur
+			ses.Rebind(NewMatcher(banks[cur]))
 		}
-	}
-	svc.SetMatcher(NewMatcher(newBank))
-	for id, st := range streams {
-		cut := len(st) / 2
-		if id%2 == 0 {
-			// Finished pre-swap: a fresh stream through a pooled session.
-			best, dist := svc.ObserveScored(uint64(id), st...)
-			wantBest, wantD := newBank.IdentifyPatternScored(st)
-			if best != wantBest || dist != wantD {
-				t.Fatalf("id %d (pooled): (%d,%v) vs naive (%d,%v)", id, best, dist, wantBest, wantD)
-			}
-			continue
+		ses.Extend(st[cut:]...)
+		wantBest, wantD := banks[cur].IdentifyPatternScored(st)
+		if ses.Best() != wantBest || ses.BestDistance() != wantD {
+			t.Fatalf("request %d: (%d,%v) vs naive (%d,%v)", req, ses.Best(), ses.BestDistance(), wantBest, wantD)
 		}
-		// Live across the swap: prefix observed against the old bank, tail
-		// against the new — the result must equal naive on the whole stream.
-		best, dist := svc.ObserveScored(uint64(id), st[cut:]...)
-		wantBest, wantD := newBank.IdentifyPatternScored(st)
-		if best != wantBest || dist != wantD {
-			t.Fatalf("id %d (live): (%d,%v) vs naive (%d,%v)", id, best, dist, wantBest, wantD)
+		if req%2 == 0 {
+			// Idle: the swap lands after the request finished.
+			cur = 1 - cur
+			ses.Rebind(NewMatcher(banks[cur]))
 		}
 	}
 }
 
-// TestServiceSetMatcherAllocFree: swaps between same-shaped banks must
-// not allocate once sessions exist.
-func TestServiceSetMatcherAllocFree(t *testing.T) {
+// TestSessionRebindAllocFree: swaps between same-shaped banks must not
+// allocate once the session's buffers exist.
+func TestSessionRebindAllocFree(t *testing.T) {
 	g := sim.NewRNG(80)
 	bank := randomBank(g, 16, 24)
 	m1, m2 := NewMatcher(bank), NewMatcher(bank)
-	svc := NewService(m1, 2)
-	for id := 0; id < 8; id++ {
-		svc.Observe(uint64(id), randomStream(g, bank, 20)...)
-	}
+	ses := m1.NewSession()
+	ses.Extend(randomStream(g, bank, 20)...)
+	ses.Best()
 	cur := false
 	allocs := testing.AllocsPerRun(100, func() {
 		if cur {
-			svc.SetMatcher(m1)
+			ses.Rebind(m1)
 		} else {
-			svc.SetMatcher(m2)
+			ses.Rebind(m2)
 		}
 		cur = !cur
 	})
 	if allocs != 0 {
-		t.Fatalf("SetMatcher allocates %v per swap, want 0", allocs)
+		t.Fatalf("Rebind allocates %v per swap, want 0", allocs)
 	}
 }

@@ -25,10 +25,10 @@ import (
 )
 
 // sessionObs holds resolved counters for the identification cascade's three
-// prune stages. One instance is shared by every session a Service drives
-// (the counters are atomic), and a nil pointer — the default for sessions
-// used outside a Service or without a collector — costs one branch per
-// prune site.
+// prune stages. The counters are atomic, so sessions attached to one
+// collector may share them across goroutines, and a nil pointer — the
+// default for a session without a collector — costs one branch per
+// identification.
 type sessionObs struct {
 	cachedPruned *obs.Counter // stage 1: cached lower bound won
 	paaPruned    *obs.Counter // stage 2: piecewise-aggregate bound won
@@ -36,8 +36,8 @@ type sessionObs struct {
 }
 
 // Session is one in-flight request's incremental matching state against a
-// Matcher's bank. Sessions are not safe for concurrent use (use Service to
-// drive many at once); they are reusable via Reset, and a reused session
+// Matcher's bank. Sessions are not safe for concurrent use (give each
+// goroutine its own); they are reusable via Reset, and a reused session
 // reaches an allocation-free steady state once its buffers have grown.
 type Session struct {
 	// DisableCascade turns off candidate filtering and early abandoning,
@@ -74,6 +74,19 @@ func (m *Matcher) NewSession() *Session {
 	}
 	s.Reset()
 	return s
+}
+
+// SetObserver attaches the cascade's prune counters from the collector; a
+// nil collector leaves the session uninstrumented.
+func (s *Session) SetObserver(c *obs.Collector) {
+	if c == nil {
+		return
+	}
+	s.obs = &sessionObs{
+		cachedPruned: c.Counter("signature.prune.cached_lb"),
+		paaPruned:    c.Counter("signature.prune.paa_bound"),
+		abandoned:    c.Counter("signature.prune.abandoned"),
+	}
 }
 
 // Reset returns the session to the empty-prefix state, keeping its buffers

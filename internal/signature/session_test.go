@@ -2,6 +2,8 @@ package signature
 
 import (
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -102,6 +104,76 @@ func TestSessionMatchesNaive(t *testing.T) {
 			if cascaded.PredictHigh() != bank.PredictHighUsage(prefix) {
 				t.Fatalf("trial %d len %d: prediction mismatch", trial, pos)
 			}
+		}
+	}
+}
+
+// TestSessionsShareMatcher: many goroutines, each reusing its own
+// session across requests, read one Matcher at once (exercised under
+// -race by `make check`). Every request's final identification must equal
+// the naive matcher on its full stream.
+func TestSessionsShareMatcher(t *testing.T) {
+	g := sim.NewRNG(4242)
+	bank := randomBank(g, 120, 32)
+	m := NewMatcher(bank)
+
+	const requests = 96
+	streams := make([][]float64, requests)
+	for i := range streams {
+		streams[i] = randomStream(g, bank, 48)
+	}
+
+	finals := make([]int, requests)
+	highs := make([]bool, requests)
+	workers := runtime.GOMAXPROCS(0) * 2
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ses := m.NewSession()
+			for i := w; i < requests; i += workers {
+				ses.Reset()
+				stream := streams[i]
+				for pos := 0; pos < len(stream); {
+					end := min(pos+1+i%3, len(stream))
+					ses.Extend(stream[pos:end]...)
+					ses.Best()
+					pos = end
+				}
+				finals[i], highs[i] = ses.Best(), ses.PredictHigh()
+			}
+		}()
+	}
+	wg.Wait()
+
+	for i, stream := range streams {
+		if want := bank.IdentifyPattern(stream); finals[i] != want {
+			t.Fatalf("request %d: session best %d, naive %d", i, finals[i], want)
+		}
+		if want := bank.PredictHighUsage(stream); highs[i] != want {
+			t.Fatalf("request %d: session prediction %v, naive %v", i, highs[i], want)
+		}
+	}
+}
+
+// TestSessionUpdateRewind checks the Update path end to end: a revised
+// tail (as the resampler produces when a request ends mid-bucket) must be
+// detected and the rebuilt state must match naive identification.
+func TestSessionUpdateRewind(t *testing.T) {
+	g := sim.NewRNG(5)
+	bank := randomBank(g, 40, 24)
+	ses := NewMatcher(bank).NewSession()
+
+	stream := randomStream(g, bank, 30)
+	for pos := 1; pos <= len(stream); pos++ {
+		prefix := append([]float64(nil), stream[:pos]...)
+		if pos > 1 {
+			prefix[pos-1] *= 1.5 // pretend the tail bucket is still partial
+		}
+		ses.Update(prefix)
+		if got, want := ses.Best(), bank.IdentifyPattern(prefix); got != want {
+			t.Fatalf("pos %d: update best %d, naive %d", pos, got, want)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"repro/internal/distance"
 	"repro/internal/fault"
@@ -33,7 +32,7 @@ func Differentials() []Differential {
 		{Name: "dtw/banded-vs-exact", Check: checkDTWBand},
 		{Name: "dtw/blocked-vs-reference", Check: checkDTWBlocked},
 		{Name: "signature/session-vs-naive", Check: checkSessionNaive},
-		{Name: "signature/service-vs-naive", Check: checkServiceNaive},
+		{Name: "signature/reused-session-vs-naive", Check: checkReusedSessionNaive},
 		{Name: "pastrequests/ring-vs-recompute", Check: checkPastRequests},
 		{Name: "fault/evaluate-vs-bruteforce", Check: checkFaultEvaluate},
 		{Name: "causal/localizer-vs-bruteforce", Check: checkCausalLocalize},
@@ -234,48 +233,35 @@ func checkSessionNaive(seed int64) error {
 	return nil
 }
 
-// checkServiceNaive: the sharded concurrent Service must agree with the
-// naive rescan for every in-flight request, with interleaved observations
-// from several goroutines.
-func checkServiceNaive(seed int64) error {
+// checkReusedSessionNaive: one session reused across requests the way a
+// serving shard drives it — Reset before each request, chunked Extends,
+// and a bank swap (the matcher rebuilt in place, then Rebind) that may land
+// mid-request — must report, after every step, the same best index and
+// bitwise the same distance as IdentifyPatternScored against the current
+// bank.
+func checkReusedSessionNaive(seed int64) error {
 	r := rand.New(rand.NewSource(seed))
 	bank := randBank(r)
-	svc := signature.NewService(signature.NewMatcher(bank), 4)
-	const requests = 24
-	prefixes := make([][]float64, requests)
-	steps := make([][][]float64, requests)
-	for id := range steps {
-		n := 1 + r.Intn(8)
-		for s := 0; s < n; s++ {
-			d := randSeq(r, 1+r.Intn(3))
-			steps[id] = append(steps[id], d)
-			prefixes[id] = append(prefixes[id], d...)
-		}
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, requests)
-	for id := 0; id < requests; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for _, d := range steps[id] {
-				svc.Observe(uint64(id), d...)
+	m := signature.NewMatcher(bank)
+	s := m.NewSession()
+	for req := 0; req < 8; req++ {
+		s.Reset()
+		var prefix []float64
+		for step, n := 0, 1+r.Intn(8); step < n; step++ {
+			if r.Intn(4) == 0 {
+				bank = randBank(r)
+				m.Rebuild(bank)
+				s.Rebind(m)
 			}
-			want := bank.IdentifyPattern(prefixes[id])
-			if got := svc.Best(uint64(id)); got != want {
-				errs[id] = fmt.Errorf("request %d: service best %d, naive %d", id, got, want)
+			delta := randSeq(r, 1+r.Intn(3))
+			prefix = append(prefix, delta...)
+			s.Extend(delta...)
+			want, wantD := bank.IdentifyPatternScored(prefix)
+			if got, gotD := s.Best(), s.BestDistance(); got != want || !sameFloat(gotD, wantD) {
+				return fmt.Errorf("request %d step %d (prefix %d): session (%d, %v), naive (%d, %v)",
+					req, step, len(prefix), got, gotD, want, wantD)
 			}
-			svc.Finish(uint64(id))
-		}(id)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
 		}
-	}
-	if live := svc.Live(); live != 0 {
-		return fmt.Errorf("service leaked %d sessions", live)
 	}
 	return nil
 }

@@ -53,7 +53,7 @@ func TestDifferentialNamesAreStable(t *testing.T) {
 		"dtw/banded-vs-exact":                  true,
 		"dtw/blocked-vs-reference":             true,
 		"signature/session-vs-naive":           true,
-		"signature/service-vs-naive":           true,
+		"signature/reused-session-vs-naive":    true,
 		"pastrequests/ring-vs-recompute":       true,
 		"fault/evaluate-vs-bruteforce":         true,
 		"causal/localizer-vs-bruteforce":       true,

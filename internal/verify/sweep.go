@@ -125,7 +125,8 @@ func (r *Report) String() string {
 func DefaultGrid() []Cell {
 	const smoke = 0.05
 	// procsSubset exercises the stacks with real internal parallelism: the
-	// distance engine (fig7), the signature service (fig10), the kernel
+	// distance engine (fig7), fig10's per-request identification sessions
+	// driven from a worker pool, the kernel
 	// exec loop (fig1), the distributed driver (faultanomaly), the
 	// contention-easing run fan-out (fig12), the service-mode shard
 	// workers (serve), the fleet (serial ticks; the cell catches any
