@@ -99,7 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			fmt.Fprintf(stdout, "  syscalls (%d):", n)
 			for _, s := range tr.Syscalls[:max] {
-				fmt.Fprintf(stdout, " %s", s.Name)
+				fmt.Fprintf(stdout, " %s", s.Call)
 			}
 			if n > max {
 				fmt.Fprint(stdout, " ...")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -39,6 +40,23 @@ func TestRunIsDeterministic(t *testing.T) {
 	}
 	if a, b := dump(), dump(); a != b {
 		t.Fatal("identical invocations diverged")
+	}
+}
+
+// The dump is pinned byte for byte, system call names included: a renamed
+// or renumbered syscall, or any drift in the simulated timeline, shows up
+// here even though every run still agrees with itself.
+func TestRunMatchesPinnedOutput(t *testing.T) {
+	want, err := os.ReadFile("testdata/tpch_requests2_seed7.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out, errBuf bytes.Buffer
+	if code := run([]string{"-app", "tpch", "-requests", "2", "-limit", "1", "-seed", "7"}, &out, &errBuf); code != 0 {
+		t.Fatalf("exit %d: %s", code, errBuf.String())
+	}
+	if got := out.String(); got != string(want) {
+		t.Fatalf("output differs from testdata/tpch_requests2_seed7.txt:\n got: %s\nwant: %s", got, want)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -270,7 +271,7 @@ func (k *Kernel) breakpoint(c *coreState) {
 		// Draw the position of the following system call before handling
 		// this one, so that blocking here leaves a valid schedule behind.
 		k.drawNextSyscall(run)
-		k.handleSyscall(c, nextSyscallName(run, ph), ph.BlockProb, ph.BlockMeanNs)
+		k.handleSyscall(c, nextSyscall(run, ph), ph.BlockProb, ph.BlockMeanNs)
 		return
 	}
 	if run.insInPhase+eps >= ph.Instructions {
@@ -281,15 +282,19 @@ func (k *Kernel) breakpoint(c *coreState) {
 	k.rescheduleBreak(c)
 }
 
-// nextSyscallName cycles through the phase's within-phase system call names.
-func nextSyscallName(run *RequestRun, ph *workload.Phase) string {
+// nextSyscall cycles through the phase's within-phase system calls.
+func nextSyscall(run *RequestRun, ph *workload.Phase) trace.Syscall {
 	if len(ph.Syscalls) == 0 {
-		return "syscall"
+		return trace.SysGeneric
 	}
-	name := ph.Syscalls[run.syscallIdx%len(ph.Syscalls)]
+	call := ph.Syscalls[run.syscallIdx%len(ph.Syscalls)]
 	run.syscallIdx++
-	return name
+	return call
 }
+
+// minSyscallGap is the floor on the instruction distance between
+// within-phase system calls: syscalls cannot be arbitrarily dense.
+const minSyscallGap = 500
 
 // drawNextSyscall samples the phase position of the next within-phase
 // system call from the phase's exponential gap distribution.
@@ -300,20 +305,45 @@ func (k *Kernel) drawNextSyscall(run *RequestRun) {
 		return
 	}
 	gap := run.Req.RNG.Exp(ph.SyscallGap)
-	if gap < 500 {
-		gap = 500 // syscalls cannot be arbitrarily dense
+	if gap < minSyscallGap {
+		gap = minSyscallGap
 	}
 	run.nextSyscall = run.insInPhase + gap
 }
 
+// SyscallCapacity sizes a request's system call stream from its phase plan,
+// so a tracker can allocate the stream once. Per phase it counts the
+// expected within-phase calls at the phase's SyscallGap under the
+// minSyscallGap floor, plus the phase-entry call, or the two socket calls of
+// a tier hop. Slack of four standard deviations covers the draw: a count of
+// calls with exponential gaps has a variance about equal to its mean.
+func SyscallCapacity(req *workload.Request) int {
+	var n float64
+	for i := range req.Phases {
+		ph := &req.Phases[i]
+		if i > 0 && ph.Tier != req.Phases[i-1].Tier {
+			n += 2 // sendto on this side, recvfrom or the entry call there
+		} else if ph.EntrySyscall != trace.NoSyscall {
+			n++
+		}
+		if ph.SyscallGap > 0 {
+			// The floored gap max(X, f), X ~ Exp(SyscallGap), has mean
+			// f + SyscallGap·e^(−f/SyscallGap).
+			mean := minSyscallGap + ph.SyscallGap*math.Exp(-minSyscallGap/ph.SyscallGap)
+			n += ph.Instructions / mean
+		}
+	}
+	return int(n + 4*math.Sqrt(n) + 8)
+}
+
 // handleSyscall models one system call: the sampling hook at kernel
 // entrance, the kernel work, and a possible I/O block.
-func (k *Kernel) handleSyscall(c *coreState, name string, blockProb, blockMeanNs float64) {
+func (k *Kernel) handleSyscall(c *coreState, call trace.Syscall, blockProb, blockMeanNs float64) {
 	t := c.cur
 	run := t.Run
 	k.Stats.Syscalls++
 	if k.hooks.Syscall != nil {
-		k.hooks.Syscall(c.id, run, name)
+		k.hooks.Syscall(c.id, run, call)
 	}
 	if k.kobs.syscalls != nil {
 		k.kobs.syscalls.Add(1)
@@ -365,9 +395,9 @@ func (k *Kernel) advancePhase(c *coreState) {
 		// The request propagates to another process through socket
 		// operations: a send on this side, a receive on the destination.
 		// The paper's request context tracking follows exactly this hop.
-		k.handleSyscall(c, "sendto", 0, 0)
-		run.entryPend = "recvfrom"
-		if next.EntrySyscall != "" {
+		k.handleSyscall(c, trace.SysSendto, 0, 0)
+		run.entryPend = trace.SysRecvfrom
+		if next.EntrySyscall != trace.NoSyscall {
 			run.entryPend = next.EntrySyscall
 		}
 		run.phaseFresh = true
@@ -398,7 +428,7 @@ func (k *Kernel) advancePhase(c *coreState) {
 	k.mach.SetActivity(c.id, &act)
 	c.syncedAppIns = 0
 	k.drawNextSyscall(run)
-	if next.EntrySyscall != "" {
+	if next.EntrySyscall != trace.NoSyscall {
 		k.handleSyscall(c, next.EntrySyscall, next.BlockProb, next.BlockMeanNs)
 		if c.cur != t {
 			return // blocked at phase entry
@@ -411,12 +441,12 @@ func (k *Kernel) advancePhase(c *coreState) {
 // system call (socket receive or phase-entry call after a tier hop).
 func (k *Kernel) beginStage(c *coreState) {
 	run := c.cur.Run
-	if run.entryPend == "" {
+	if run.entryPend == trace.NoSyscall {
 		return
 	}
-	name := run.entryPend
-	run.entryPend = ""
-	k.handleSyscall(c, name, 0, 0)
+	call := run.entryPend
+	run.entryPend = trace.NoSyscall
+	k.handleSyscall(c, call, 0, 0)
 }
 
 // finishRequest completes the current request and recycles the worker.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -52,7 +53,7 @@ func TestBlockedIOResumesAndCompletes(t *testing.T) {
 	k.AddWorkers(0, 2)
 	ph := cpuPhase("io", 200_000)
 	ph.SyscallGap = 20_000
-	ph.Syscalls = []string{"read"}
+	ph.Syscalls = []trace.Syscall{trace.SysRead}
 	ph.BlockProb = 1.0 // every syscall blocks
 	ph.BlockMeanNs = float64(50 * sim.Microsecond)
 	run := k.Submit(simpleRequest(1, ph))
@@ -176,11 +177,11 @@ func TestMultiPhaseTierHopStatsBalance(t *testing.T) {
 	k.SetHooks(Hooks{
 		SwitchIn:  func(int, *RequestRun) { ins++ },
 		SwitchOut: func(int, *RequestRun) { outs++ },
-		Syscall: func(_ int, _ *RequestRun, name string) {
-			switch name {
-			case "sendto":
+		Syscall: func(_ int, _ *RequestRun, call trace.Syscall) {
+			switch call {
+			case trace.SysSendto:
 				sends++
-			case "recvfrom":
+			case trace.SysRecvfrom:
 				recvs++
 			}
 		},
@@ -213,7 +214,7 @@ func TestEntrySyscallBlockingAtPhaseBoundary(t *testing.T) {
 	k.AddWorkers(0, 1)
 	a := cpuPhase("a", 40_000)
 	b := cpuPhase("b", 40_000)
-	b.EntrySyscall = "fsync"
+	b.EntrySyscall = trace.SysFsync
 	b.BlockProb = 1.0
 	b.BlockMeanNs = float64(100 * sim.Microsecond)
 	run := k.Submit(simpleRequest(1, a, b))

@@ -20,6 +20,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -131,13 +132,13 @@ type RequestRun struct {
 	Submit, Start, End sim.Time
 
 	phase       int
-	phaseStart  sim.Time // when the current phase began (observability spans)
-	insIntoRun  float64  // app instructions completed over the whole request
-	insInPhase  float64  // app instructions completed in the current phase
-	nextSyscall float64  // insInPhase position of the next within-phase syscall
-	syscallIdx  int      // cycles through Phase.Syscalls
-	entryPend   string   // syscall to issue before the current phase starts
-	phaseFresh  bool     // the current phase has not begun executing yet
+	phaseStart  sim.Time      // when the current phase began (observability spans)
+	insIntoRun  float64       // app instructions completed over the whole request
+	insInPhase  float64       // app instructions completed in the current phase
+	nextSyscall float64       // insInPhase position of the next within-phase syscall
+	syscallIdx  int           // cycles through Phase.Syscalls
+	entryPend   trace.Syscall // syscall to issue before the current phase starts
+	phaseFresh  bool          // the current phase has not begun executing yet
 	started     bool
 	waiters     []*Thread // upstream threads blocked on this request
 }
@@ -165,7 +166,7 @@ func (r *RequestRun) CurrentPhase() *workload.Phase {
 type Hooks struct {
 	SwitchIn    func(core int, run *RequestRun)
 	SwitchOut   func(core int, run *RequestRun)
-	Syscall     func(core int, run *RequestRun, name string)
+	Syscall     func(core int, run *RequestRun, call trace.Syscall)
 	RequestDone func(run *RequestRun)
 }
 

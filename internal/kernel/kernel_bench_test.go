@@ -24,7 +24,9 @@ func BenchmarkWebLoad(b *testing.B) {
 	}
 }
 
-// BenchmarkTPCHLoad exercises the long-request path (many syscall events).
+// BenchmarkTPCHLoad exercises the long-request path (many system calls)
+// with no tracker attached, so nothing records the calls; the sampling
+// package's BenchmarkTrackedTPCH adds the tracker.
 func BenchmarkTPCHLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine()

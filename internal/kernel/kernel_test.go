@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -65,8 +66,8 @@ func TestMultiTierRUBiS(t *testing.T) {
 	eng := sim.NewEngine()
 	k := New(eng, DefaultConfig())
 	k.SetHooks(Hooks{
-		Syscall: func(core int, run *RequestRun, name string) {
-			if name == "sendto" {
+		Syscall: func(core int, run *RequestRun, call trace.Syscall) {
+			if call == trace.SysSendto {
 				hops++
 			}
 		},
@@ -97,7 +98,7 @@ func TestHooksFireInOrder(t *testing.T) {
 	k.SetHooks(Hooks{
 		SwitchIn:  func(core int, run *RequestRun) { switchIns++; events = append(events, "in") },
 		SwitchOut: func(core int, run *RequestRun) { switchOuts++; events = append(events, "out") },
-		Syscall:   func(core int, run *RequestRun, name string) { events = append(events, "sys:"+name) },
+		Syscall:   func(core int, run *RequestRun, call trace.Syscall) { events = append(events, "sys:"+call.String()) },
 		RequestDone: func(run *RequestRun) {
 			events = append(events, "done")
 		},
@@ -127,7 +128,7 @@ func TestWebSyscallSequence(t *testing.T) {
 	k := New(eng, DefaultConfig())
 	var names []string
 	k.SetHooks(Hooks{
-		Syscall: func(core int, run *RequestRun, name string) { names = append(names, name) },
+		Syscall: func(core int, run *RequestRun, call trace.Syscall) { names = append(names, call.String()) },
 	})
 	d := NewDriver(k, LoadConfig{App: workload.NewWebServer(), Concurrency: 1, Requests: 1, Seed: 3})
 	d.Start()

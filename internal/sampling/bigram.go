@@ -1,5 +1,7 @@
 package sampling
 
+import "repro/internal/trace"
+
 // Section 3.2 notes that a single system call name is a weak transition
 // signal when calls of that name occur in many semantic contexts, and
 // suggests "employing more complex signals like a sequence of two or more
@@ -22,14 +24,17 @@ func BigramKey(prev, name string) string {
 }
 
 // bigramState tracks the previous system call per core for bigram keying.
+// It holds the call's ID, so keeping it current costs no string work; the
+// key string is built only where a signal is looked up or trained.
 type bigramState struct {
-	prev string
+	prev trace.Syscall
 }
 
-func (b *bigramState) next(name string) (key string) {
-	key = BigramKey(b.prev, name)
-	b.prev = name
-	return key
+// next records call as the latest and returns the call before it
+// (trace.NoSyscall at request start or after a switch).
+func (b *bigramState) next(call trace.Syscall) (prev trace.Syscall) {
+	prev, b.prev = b.prev, call
+	return prev
 }
 
-func (b *bigramState) reset() { b.prev = "" }
+func (b *bigramState) reset() { b.prev = trace.NoSyscall }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -16,15 +17,15 @@ func TestBigramKey(t *testing.T) {
 		t.Fatalf("bigram key = %q", got)
 	}
 	var s bigramState
-	if s.next("poll") != "poll" {
-		t.Fatal("first call should be unigram-keyed")
+	if s.next(trace.SysPoll) != trace.NoSyscall {
+		t.Fatal("first call should have no predecessor")
 	}
-	if s.next("read") != "poll>read" {
+	if prev := s.next(trace.SysRead); BigramKey(prev.String(), "read") != "poll>read" {
 		t.Fatal("second call should be bigram-keyed")
 	}
 	s.reset()
-	if s.next("read") != "read" {
-		t.Fatal("reset should clear the previous name")
+	if prev := s.next(trace.SysRead); BigramKey(prev.String(), "read") != "read" {
+		t.Fatal("reset should clear the previous call")
 	}
 }
 

@@ -25,3 +25,25 @@ func BenchmarkTrackedLoad(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTrackedTPCH measures the recording path: a traced TPC-H load,
+// whose long scans issue about ten thousand system calls per request, each
+// appended to the request's trace. kernel.BenchmarkTPCHLoad runs the same
+// load with no tracker attached.
+func BenchmarkTrackedTPCH(b *testing.B) {
+	app := workload.NewTPCH()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		eng := sim.NewEngine()
+		k := kernel.New(eng, kernel.DefaultConfig())
+		tk := NewTracker(k, Config{Mode: Interrupt, Period: app.SamplingPeriod(), Compensate: true})
+		d := kernel.NewDriver(k, kernel.LoadConfig{
+			App: app, Concurrency: 8, Requests: 10, Seed: 1,
+		})
+		d.Start()
+		eng.RunAll()
+		if tk.Store().Len() != 10 {
+			b.Fatal("incomplete")
+		}
+	}
+}

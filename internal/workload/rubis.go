@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // RUBiS models the three-tier J2EE auction site: a front-end web server
@@ -54,7 +55,7 @@ var rubisTypes = []rubisType{
 }
 
 // RUBiS system call texture: componentized servers chatter constantly.
-var rubisSyscalls = []string{"read", "write", "sendto", "recvfrom", "gettimeofday"}
+var rubisSyscalls = []trace.Syscall{trace.SysRead, trace.SysWrite, trace.SysSendto, trace.SysRecvfrom, trace.SysGettimeofday}
 
 // NewRequest implements App.
 func (r *RUBiS) NewRequest(id uint64, g *sim.RNG) *Request {
@@ -72,7 +73,7 @@ func (r *RUBiS) NewRequest(id uint64, g *sim.RNG) *Request {
 	}
 
 	ph := []Phase{
-		chatter(Phase{Name: "servlet-parse", Tier: 0, EntrySyscall: "read",
+		chatter(Phase{Name: "servlet-parse", Tier: 0, EntrySyscall: trace.SysRead,
 			Instructions: jitter(g, t.webIns, 0.2),
 			Activity:     actFor(g, 1.6, 0.012, 0.08, 1<<20)}),
 	}
@@ -92,10 +93,10 @@ func (r *RUBiS) NewRequest(id uint64, g *sim.RNG) *Request {
 		chatter(Phase{Name: "ejb-assemble", Tier: 1,
 			Instructions: jitter(g, t.ejbIns*1.5, 0.2),
 			Activity:     actFor(g, 2.0, 0.020, 0.11, 2<<20)}),
-		chatter(Phase{Name: "servlet-render", Tier: 0, EntrySyscall: "recvfrom",
+		chatter(Phase{Name: "servlet-render", Tier: 0, EntrySyscall: trace.SysRecvfrom,
 			Instructions: jitter(g, t.renderIns, 0.2),
 			Activity:     actFor(g, 1.7, 0.014, 0.09, 1<<20)}),
-		Phase{Name: "respond", Tier: 0, EntrySyscall: "write",
+		Phase{Name: "respond", Tier: 0, EntrySyscall: trace.SysWrite,
 			Instructions: jitter(g, 30e3, 0.2),
 			Activity:     actFor(g, 1.5, 0.012, 0.10, 1<<20)},
 	)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // TPCC models the TPC-C order-entry workload on MySQL/InnoDB: five
@@ -47,6 +48,11 @@ const (
 	tpccScanWS  = 4 << 20
 )
 
+// Within-phase system call patterns, shared by every request.
+var (
+	tpccLogCalls = []trace.Syscall{trace.SysWrite, trace.SysFsync}
+)
+
 // NewRequest implements App.
 func (t *TPCC) NewRequest(id uint64, g *sim.RNG) *Request {
 	weights := make([]float64, len(tpccTypes))
@@ -57,16 +63,16 @@ func (t *TPCC) NewRequest(id uint64, g *sim.RNG) *Request {
 
 	var ph []Phase
 	parse := func(ins float64) Phase {
-		return Phase{Name: "parse", EntrySyscall: "read",
+		return Phase{Name: "parse", EntrySyscall: trace.SysRead,
 			Instructions: jitter(g, ins, 0.15),
 			Activity:     actFor(g, 1.1, 0.006, 0.08, tpccLogWS)}
 	}
 	logCommit := func(ins float64) Phase {
-		return Phase{Name: "log-commit", EntrySyscall: "write",
+		return Phase{Name: "log-commit", EntrySyscall: trace.SysWrite,
 			Instructions: jitter(g, ins, 0.15),
 			Activity:     actFor(g, 1.0, 0.008, 0.10, tpccLogWS),
 			SyscallGap:   15e3,
-			Syscalls:     []string{"write", "fsync"},
+			Syscalls:     tpccLogCalls,
 			BlockProb:    0.25,
 			BlockMeanNs:  float64(200 * sim.Microsecond)}
 	}
@@ -99,7 +105,7 @@ func (t *TPCC) NewRequest(id uint64, g *sim.RNG) *Request {
 		ph = append(ph, parse(40e3),
 			Phase{Name: "order-scan", Instructions: jitter(g, 1.5e6, 0.2),
 				Activity: actFor(g, 2.5, 0.028, 0.15, tpccScanWS)},
-			Phase{Name: "result-send", EntrySyscall: "write",
+			Phase{Name: "result-send", EntrySyscall: trace.SysWrite,
 				Instructions: jitter(g, 40e3, 0.2),
 				Activity:     actFor(g, 1.4, 0.010, 0.08, tpccLogWS)})
 	case "delivery":
@@ -118,7 +124,7 @@ func (t *TPCC) NewRequest(id uint64, g *sim.RNG) *Request {
 		ph = append(ph, parse(40e3),
 			Phase{Name: "join-scan", Instructions: jitter(g, 3e6, 0.2),
 				Activity: actFor(g, 2.9, 0.035, 0.20, tpccScanWS)},
-			Phase{Name: "result-send", EntrySyscall: "write",
+			Phase{Name: "result-send", EntrySyscall: trace.SysWrite,
 				Instructions: jitter(g, 30e3, 0.2),
 				Activity:     actFor(g, 1.4, 0.010, 0.08, tpccLogWS)})
 	}

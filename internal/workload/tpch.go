@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // TPCH models the decision-support benchmark on MySQL with the paper's
@@ -81,6 +82,14 @@ func TPCHQueryNames() []string {
 	return out
 }
 
+// Within-phase system call patterns, shared by every request.
+var (
+	tpchPlanCalls = []trace.Syscall{trace.SysPread, trace.SysStat}
+	tpchScanCalls = []trace.Syscall{trace.SysPread, trace.SysPread, trace.SysLseek}
+	tpchJoinCalls = []trace.Syscall{trace.SysPread, trace.SysRead}
+	tpchAggCalls  = []trace.Syscall{trace.SysWrite}
+)
+
 // NewRequest implements App: an equal proportion of each query type.
 func (t *TPCH) NewRequest(id uint64, g *sim.RNG) *Request {
 	qi := g.Intn(len(tpchQueries))
@@ -118,11 +127,11 @@ func (t *TPCH) NewRequest(id uint64, g *sim.RNG) *Request {
 	prologueIns := jitter(g, (0.4+0.22*float64(qi))*1e6, 0.05)
 	ph = append(ph, Phase{
 		Name:         "plan",
-		EntrySyscall: "read",
+		EntrySyscall: trace.SysRead,
 		Instructions: prologueIns,
 		Activity:     actFor(g, 1.35, 0.008+0.0015*float64(qi%5), 0.08, 1<<20),
 		SyscallGap:   40e3,
-		Syscalls:     []string{"pread", "stat"},
+		Syscalls:     tpchPlanCalls,
 	})
 	// The scan splits into a query-plan-determined number of table-scan
 	// stretches, keeping within-request behavior uniform.
@@ -130,11 +139,11 @@ func (t *TPCH) NewRequest(id uint64, g *sim.RNG) *Request {
 	for i := 0; i < scanParts; i++ {
 		ph = append(ph, Phase{
 			Name:         fmt.Sprintf("scan%d", i),
-			EntrySyscall: "pread",
+			EntrySyscall: trace.SysPread,
 			Instructions: scanIns / float64(scanParts),
 			Activity:     scanAct,
 			SyscallGap:   6e3,
-			Syscalls:     []string{"pread", "pread", "lseek"},
+			Syscalls:     tpchScanCalls,
 			BlockProb:    0.0003,
 			BlockMeanNs:  float64(150 * sim.Microsecond),
 		})
@@ -145,7 +154,7 @@ func (t *TPCH) NewRequest(id uint64, g *sim.RNG) *Request {
 			Instructions: joinIns,
 			Activity:     joinAct,
 			SyscallGap:   8e3,
-			Syscalls:     []string{"pread", "read"},
+			Syscalls:     tpchJoinCalls,
 			BlockProb:    0.0003,
 			BlockMeanNs:  float64(150 * sim.Microsecond),
 		})
@@ -156,7 +165,7 @@ func (t *TPCH) NewRequest(id uint64, g *sim.RNG) *Request {
 			Instructions: aggIns,
 			Activity:     aggAct,
 			SyscallGap:   60e3,
-			Syscalls:     []string{"write"},
+			Syscalls:     tpchAggCalls,
 		})
 	}
 

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // WebServer models the Apache 2.2.3 web server serving the static content
@@ -50,6 +51,12 @@ var specwebClasses = []specwebClass{
 
 const sendChunkBytes = 8 << 10
 
+// Within-phase system call patterns, shared by every request.
+var (
+	webParseCalls = []trace.Syscall{trace.SysRead}
+	webSendCalls  = []trace.Syscall{trace.SysWrite, trace.SysSendfile}
+)
+
 // NewRequest implements App.
 func (w *WebServer) NewRequest(id uint64, g *sim.RNG) *Request {
 	weights := make([]float64, len(specwebClasses))
@@ -87,50 +94,50 @@ func (w *WebServer) NewRequest(id uint64, g *sim.RNG) *Request {
 			Activity: actFor(g, 1.0, 0.002, 0.05, float64(ctlWS))},
 		// poll returns with the new connection; accept path has moderate
 		// CPI (Table 2: poll → increase).
-		{Name: "accept", EntrySyscall: "poll", Instructions: jitter(g, 10e3, 0.2),
+		{Name: "accept", EntrySyscall: trace.SysPoll, Instructions: jitter(g, 10e3, 0.2),
 			Activity: actFor(g, 2.2, 0.010, 0.08, float64(ctlWS))},
 		// read pulls in the HTTP request; parsing is branchy and slow
 		// (read → increase).
-		{Name: "parse", EntrySyscall: "read", Instructions: jitter(g, 28e3, 0.25),
+		{Name: "parse", EntrySyscall: trace.SysRead, Instructions: jitter(g, 28e3, 0.25),
 			Activity:   actFor(g, 2.8, 0.014-0.002*cf, 0.08, float64(ctlWS)),
-			SyscallGap: 9e3, Syscalls: []string{"read"}},
+			SyscallGap: 9e3, Syscalls: webParseCalls},
 		// stat checks the file; the lookup that follows is cheap
 		// (stat → decrease).
-		{Name: "lookup", EntrySyscall: "stat",
+		{Name: "lookup", EntrySyscall: trace.SysStat,
 			Instructions: jitter(g, 8e3+7e3*cf, 0.2),
 			Activity:     actFor(g, 1.4, 0.006+0.004*cf, 0.06, float64(ctlWS))},
 		// open the file (open → slight decrease).
-		{Name: "openfile", EntrySyscall: "open", Instructions: jitter(g, 8e3, 0.2),
+		{Name: "openfile", EntrySyscall: trace.SysOpen, Instructions: jitter(g, 8e3, 0.2),
 			Activity: actFor(g, 1.25, 0.008, 0.06, float64(ctlWS))},
 		// Response preparation maps the file and walks metadata structures:
 		// high CPI (mmap → increase).
-		{Name: "prepare", EntrySyscall: "mmap",
+		{Name: "prepare", EntrySyscall: trace.SysMmap,
 			Instructions: jitter(g, 9e3+3e3*cf, 0.2),
 			Activity:     actFor(g, 3.2, 0.016+0.005*cf, 0.12, float64(ctlWS))},
 		// lseek positions the file; the send setup is cheap
 		// (lseek → decrease).
-		{Name: "sendprep", EntrySyscall: "lseek", Instructions: jitter(g, 8e3, 0.2),
+		{Name: "sendprep", EntrySyscall: trace.SysLseek, Instructions: jitter(g, 8e3, 0.2),
 			Activity: actFor(g, 1.2, 0.006, 0.06, float64(ctlWS))},
 		// writev writes HTTP headers from fragmented pieces: the paper's
 		// signature high-CPI phase (writev → large increase).
-		{Name: "headers", EntrySyscall: "writev", Instructions: jitter(g, 10e3, 0.15),
+		{Name: "headers", EntrySyscall: trace.SysWritev, Instructions: jitter(g, 10e3, 0.15),
 			Activity: actFor(g, 4.9, 0.040, 0.10, float64(ctlWS))},
 	}
 	for c := 0; c < chunks; c++ {
 		ph = append(ph, Phase{
 			Name:         fmt.Sprintf("sendchunk%d", c),
-			EntrySyscall: "write",
+			EntrySyscall: trace.SysWrite,
 			Instructions: jitter(g, 14e3, 0.15),
 			Activity:     actFor(g, 1.6, 0.035, 0.30, fileWS),
 			SyscallGap:   7e3,
-			Syscalls:     []string{"write", "sendfile"},
+			Syscalls:     webSendCalls,
 			BlockProb:    0.05,
 			BlockMeanNs:  float64(100 * sim.Microsecond),
 		})
 	}
 	ph = append(ph, Phase{
 		Name:         "teardown",
-		EntrySyscall: "shutdown",
+		EntrySyscall: trace.SysShutdown,
 		Instructions: jitter(g, 10e3, 0.2),
 		Activity:     actFor(g, 2.8, 0.010, 0.08, float64(ctlWS)),
 	})

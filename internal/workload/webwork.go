@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // WeBWorK models the user-content-driven online teaching application:
@@ -58,6 +59,15 @@ var webworkModules = []string{
 	"Parser", "AnswerChecker", "Units", "PGauxiliaryFunctions",
 }
 
+// Within-phase system call patterns, shared by every request.
+var (
+	webworkInitCalls    = []trace.Syscall{trace.SysStat, trace.SysOpen, trace.SysRead}
+	webworkAuthCalls    = []trace.Syscall{trace.SysRead, trace.SysWrite}
+	webworkCourseCalls  = []trace.Syscall{trace.SysRead, trace.SysStat}
+	webworkModuleCalls  = []trace.Syscall{trace.SysBrk, trace.SysRead, trace.SysWrite}
+	webworkRespondCalls = []trace.Syscall{trace.SysWrite}
+)
+
 // NewRequest implements App. The problem identifier determines the
 // problem-specific phase structure through its own deterministic stream, so
 // two requests for the same problem share structure up to small per-request
@@ -79,18 +89,18 @@ func (w *WeBWorK) RequestForProblem(id uint64, problem int, g *sim.RNG) *Request
 	// The common early part: session handling, authentication, Moodle
 	// course lookup. Nearly identical for every request.
 	ph := []Phase{
-		{Name: "session-init", EntrySyscall: "read",
+		{Name: "session-init", EntrySyscall: trace.SysRead,
 			Instructions: jitter(g, 4e6, 0.03),
 			Activity:     actFor(g, 1.25, 0.004, 0.10, 512<<10),
-			SyscallGap:   1.5e6, Syscalls: []string{"stat", "open", "read"}},
+			SyscallGap:   1.5e6, Syscalls: webworkInitCalls},
 		{Name: "moodle-auth",
 			Instructions: jitter(g, 3e6, 0.03),
 			Activity:     actFor(g, 1.35, 0.005, 0.10, 512<<10),
-			SyscallGap:   1.5e6, Syscalls: []string{"read", "write"}},
-		{Name: "course-load", EntrySyscall: "open",
+			SyscallGap:   1.5e6, Syscalls: webworkAuthCalls},
+		{Name: "course-load", EntrySyscall: trace.SysOpen,
 			Instructions: jitter(g, 5e6, 0.03),
 			Activity:     actFor(g, 1.30, 0.004, 0.10, 768<<10),
-			SyscallGap:   1.5e6, Syscalls: []string{"read", "stat"}},
+			SyscallGap:   1.5e6, Syscalls: webworkCourseCalls},
 	}
 
 	// Problem-specific content generation: the problem's own stream defines
@@ -108,11 +118,11 @@ func (w *WeBWorK) RequestForProblem(id uint64, problem int, g *sim.RNG) *Request
 			Instructions: jitter(g, meanIns, 0.05),
 			Activity:     actFor(g, cpi, refs, 0.10, ws),
 			SyscallGap:   1.3e6,
-			Syscalls:     []string{"brk", "read", "write"},
+			Syscalls:     webworkModuleCalls,
 		}
 		// Occasional module loads issue an open at entry.
 		if pg.Bool(0.15) {
-			p.EntrySyscall = "open"
+			p.EntrySyscall = trace.SysOpen
 		}
 		// Graphics rendering bursts: tens of millions of instructions of
 		// elevated CPI, like the sustained high-CPI regions in the paper's
@@ -128,10 +138,10 @@ func (w *WeBWorK) RequestForProblem(id uint64, problem int, g *sim.RNG) *Request
 		}
 		ph = append(ph, p)
 	}
-	ph = append(ph, Phase{Name: "respond", EntrySyscall: "writev",
+	ph = append(ph, Phase{Name: "respond", EntrySyscall: trace.SysWritev,
 		Instructions: jitter(g, 2e6, 0.1),
 		Activity:     actFor(g, 1.4, 0.006, 0.10, 512<<10),
-		SyscallGap:   400e3, Syscalls: []string{"write"}})
+		SyscallGap:   400e3, Syscalls: webworkRespondCalls})
 
 	return &Request{
 		ID:        id,

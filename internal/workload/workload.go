@@ -21,6 +21,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Phase is one homogeneous stretch of a request's execution.
@@ -35,16 +36,18 @@ type Phase struct {
 	Instructions float64
 	// Activity is the phase's inherent hardware characteristics.
 	Activity machine.Activity
-	// EntrySyscall, when non-empty, is the system call issued on entering
-	// the phase. Because it immediately precedes a behavior change, it is
-	// exactly the kind of "behavior transition signal" Section 3.2 mines.
-	EntrySyscall string
+	// EntrySyscall, unless trace.NoSyscall, is the system call issued on
+	// entering the phase. Because it immediately precedes a behavior
+	// change, it is exactly the kind of "behavior transition signal"
+	// Section 3.2 mines.
+	EntrySyscall trace.Syscall
 	// SyscallGap is the mean instruction distance between within-phase
 	// system calls (exponentially distributed); 0 means the phase makes no
 	// system calls beyond EntrySyscall.
 	SyscallGap float64
-	// Syscalls are the names of within-phase system calls, cycled in order.
-	Syscalls []string
+	// Syscalls are the within-phase system calls, cycled in order. The
+	// applications share one slice per call pattern; nothing writes to it.
+	Syscalls []trace.Syscall
 	// BlockProb is the probability that a within-phase system call blocks
 	// (I/O wait), descheduling the thread.
 	BlockProb float64

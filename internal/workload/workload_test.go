@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func gen(t *testing.T, app App, n int, seed int64) []*Request {
@@ -345,8 +346,8 @@ func TestWebServerTable2Structure(t *testing.T) {
 	cfg := cache.DefaultConfig()
 	for _, p := range r.Phases {
 		cpi := cache.CPI(cfg, p.Activity.BaseCPI, p.Activity.RefsPerIns, p.Activity.SoloMissRatio, 1)
-		if p.EntrySyscall != "" {
-			cpiOf["after-"+p.EntrySyscall] = cpi
+		if p.EntrySyscall != trace.NoSyscall {
+			cpiOf["after-"+p.EntrySyscall.String()] = cpi
 		}
 		order = append(order, p.Name)
 		cpiOf[p.Name] = cpi
@@ -382,5 +383,50 @@ func TestRequestString(t *testing.T) {
 	r := gen(t, NewTPCC(), 1, 10)[0]
 	if r.String() == "" {
 		t.Fatal("empty request string")
+	}
+}
+
+// The five applications declare their system calls as trace.Syscall IDs.
+// Recording every declared call and reading the stream back through
+// SyscallNames must yield exactly the names each application is written
+// against, so a renumbered or renamed ID cannot slip through.
+func TestDeclaredSyscallNamesRoundTrip(t *testing.T) {
+	want := map[string][]string{
+		"webserver": {"lseek", "mmap", "open", "poll", "read", "sendfile", "shutdown", "stat", "write", "writev"},
+		"tpcc":      {"fsync", "read", "write"},
+		"tpch":      {"lseek", "pread", "read", "stat", "write"},
+		"rubis":     {"gettimeofday", "read", "recvfrom", "sendto", "write"},
+		"webwork":   {"brk", "open", "read", "stat", "write", "writev"},
+	}
+	for _, app := range All() {
+		tr := &trace.Request{}
+		var declared []trace.Syscall
+		for _, r := range gen(t, app, 60, 5) {
+			for _, p := range r.Phases {
+				if p.EntrySyscall != trace.NoSyscall {
+					declared = append(declared, p.EntrySyscall)
+				}
+				declared = append(declared, p.Syscalls...)
+			}
+		}
+		for i, c := range declared {
+			tr.AddSyscall(c, float64(i), sim.Time(i))
+		}
+		names := tr.SyscallNames()
+		set := map[string]bool{}
+		for i, n := range names {
+			if n != declared[i].String() {
+				t.Fatalf("%s: event %d reads back %q, declared %q", app.Name(), i, n, declared[i])
+			}
+			set[n] = true
+		}
+		for _, n := range want[app.Name()] {
+			if !set[n] {
+				t.Errorf("%s: never declares %q", app.Name(), n)
+			}
+		}
+		if len(set) != len(want[app.Name()]) {
+			t.Errorf("%s: declares %d distinct calls %v, want %v", app.Name(), len(set), set, want[app.Name()])
+		}
 	}
 }
