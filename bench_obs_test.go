@@ -1,9 +1,11 @@
 // BenchmarkObsOverhead quantifies the observability layer's cost on the
-// two hottest instrumented paths — the simulated kernel's scheduling loop
-// and the signature session's per-update cascade — with the collector
-// detached (the production default: nil handles, one branch per hook
-// site), fully attached, and attached in 1-in-64 sampling mode. The
-// disabled/enabled ratio is the ISSUE's <2% regression budget.
+// three hottest instrumented paths — the simulated kernel's scheduling
+// loop, the signature session's per-update cascade, and the service
+// engine's tick — with the collector detached (the production default: nil
+// handles, one branch per hook site), fully attached, and (kernel only)
+// attached in 1-in-64 sampling mode. The serve legs also price the
+// engine's identify-latency timing, its only host-clock read, which runs
+// only with a collector attached.
 //
 // Run with:
 //
@@ -23,7 +25,8 @@ import (
 // BenchmarkObsOverhead/kernel-* run a small closed-loop web workload (the
 // highest event rate per request of the five applications) through
 // core.Run; /session-* stream prefixes through signature sessions, one per
-// parallel goroutine, reset between requests.
+// parallel goroutine, reset between requests; /serve-* push 100k requests
+// per op through a warmed single-worker default engine.
 func BenchmarkObsOverhead(b *testing.B) {
 	kernelRun := func(b *testing.B, col *obs.Collector) {
 		app := workload.NewWebServer()
@@ -69,4 +72,15 @@ func BenchmarkObsOverhead(b *testing.B) {
 	}
 	b.Run("session-off", func(b *testing.B) { sessionRun(b, nil) })
 	b.Run("session-on", func(b *testing.B) { sessionRun(b, obs.New("bench")) })
+
+	serveRun := func(b *testing.B, col *obs.Collector) {
+		e := benchServeEngine(b, 1, col)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.Process(100_000)
+		}
+	}
+	b.Run("serve-off", func(b *testing.B) { serveRun(b, nil) })
+	b.Run("serve-on", func(b *testing.B) { serveRun(b, obs.New("bench")) })
 }

@@ -14,16 +14,19 @@ package repro_test
 import (
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
 // benchServeEngine builds a default engine and warms it past its first
 // compactions so pools, sessions, and matcher envelopes reach their
-// steady-state sizes before the timer starts.
-func benchServeEngine(b *testing.B, workers int) *serve.Engine {
+// steady-state sizes before the timer starts. The engine keeps its
+// identify-latency histogram only with a collector attached (col non-nil).
+func benchServeEngine(b *testing.B, workers int, col *obs.Collector) *serve.Engine {
 	b.Helper()
 	cfg := serve.DefaultConfig(1)
 	cfg.Workers = workers
+	cfg.Obs = col
 	e, err := serve.New(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -40,7 +43,9 @@ func benchServeEngine(b *testing.B, workers int) *serve.Engine {
 // BenchmarkServeSteadyState is the headline service-mode benchmark: 1M
 // simulated requests per op through the warmed pipeline, 0 allocs/op.
 // ns/op is the wall cost per million requests; p50/p99/p999-ns are the
-// identify-path latency quantiles over every timed call.
+// identify-path latency quantiles over every timed call, so the engine runs
+// with a collector attached (BenchmarkObsOverhead/serve-off is the same
+// pipeline detached).
 func BenchmarkServeSteadyState(b *testing.B) {
 	for _, bc := range []struct {
 		name    string
@@ -50,7 +55,7 @@ func BenchmarkServeSteadyState(b *testing.B) {
 		{"parallel", 0}, // GOMAXPROCS workers (capped at shard count)
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			e := benchServeEngine(b, bc.workers)
+			e := benchServeEngine(b, bc.workers, obs.New("bench"))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -12,14 +12,16 @@
 // the engine's deterministic result table, and appends the identify-path
 // latency profile (p50/p99/p999 wall nanoseconds per chunk identification
 // — the one output that is *not* deterministic, since it measures the real
-// clock). -spec overrides the arrival process using the compact stream
-// syntax (see workload.ParseStream):
+// clock). The engine times identification only with an obs collector
+// attached, so this command always attaches one. -spec overrides the
+// arrival process using the compact stream syntax (see
+// workload.ParseStream):
 //
 //	rate=800000;mix=webserver:4,tpcc:2,rubis:2;period=50ms:0.3;burst=100ms+40ms*2.5;drift=0.01;seed=1
 //
 // A -spec without its own seed=N inherits -seed, so sweeping seeds does not
-// require editing the spec. -trace prints the engine's counter summary via
-// an attached obs collector (results are identical either way).
+// require editing the spec. -trace also prints the collector's counter
+// summary (results are identical either way).
 //
 // -topology switches to fleet mode (serve.Fleet): the stream is sharded
 // across a fleet of simulated machines given as "/"-separated topology
@@ -89,11 +91,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Stream = sc
 	}
 
-	var col *obs.Collector
-	if *traceOut {
-		col = obs.New("rbvserve")
-		cfg.Obs = col
-	}
+	// The collector is always attached: without one the engine keeps no
+	// identify-latency histogram to print.
+	col := obs.New("rbvserve")
+	cfg.Obs = col
 
 	e, err := serve.New(cfg)
 	if err != nil {
@@ -118,7 +119,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "  identify latency       p50 %.0fns  p99 %.0fns  p999 %.0fns  (%d calls, max %dns)\n",
 		h.Quantile(0.50), h.Quantile(0.99), h.Quantile(0.999), h.Count(), h.Max())
 
-	if col != nil {
+	if *traceOut {
 		fmt.Fprint(stdout, col.Report().Summary())
 	}
 	return 0

@@ -84,7 +84,9 @@ type Config struct {
 	CostDegradedNs  int64
 
 	// Obs, when non-nil, collects engine counters and the identify-latency
-	// histogram. Results are identical either way.
+	// histogram, the one measurement that reads the host clock. Without it
+	// the engine times nothing and Engine.Histogram is nil. Results are
+	// identical either way.
 	Obs *obs.Collector
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -195,6 +196,39 @@ func TestEngineOneSessionPerShard(t *testing.T) {
 	}
 	if degraded := e.Result().Degraded; midHeads == 0 || degraded == 0 {
 		t.Fatalf("test never loaded the shards: %d mid-identification heads, %d degraded", midHeads, degraded)
+	}
+}
+
+// TestEngineTimesIdentifyOnlyWithCollector: the identify-latency histogram,
+// the engine's one host-clock reading, exists only with a collector
+// attached. Attaching one changes no result, and the number of timed
+// identify calls is virtual, so two attached runs agree on it.
+func TestEngineTimesIdentifyOnlyWithCollector(t *testing.T) {
+	runWith := func(col *obs.Collector) (Result, *obs.Histogram) {
+		cfg := testConfig(4)
+		cfg.Obs = col
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		e.Process(30_000)
+		e.Drain()
+		return e.Result(), e.Histogram()
+	}
+	plain, h := runWith(nil)
+	if h != nil || h.Count() != 0 {
+		t.Fatalf("detached engine has an identify histogram with %d calls", h.Count())
+	}
+	traced, th := runWith(obs.New("test"))
+	if !reflect.DeepEqual(traced, plain) {
+		t.Fatalf("attaching a collector changed the result:\n got %+v\nwant %+v", traced, plain)
+	}
+	if th.Count() == 0 {
+		t.Fatal("attached engine timed no identify call")
+	}
+	if _, th2 := runWith(obs.New("test")); th2.Count() != th.Count() {
+		t.Fatalf("timed identify calls differ across attached runs: %d vs %d", th2.Count(), th.Count())
 	}
 }
 
