@@ -1,10 +1,10 @@
 // Benchmarks for the online identification fast path (Section 4.4 at
 // serving scale): a 500-entry signature bank matched against streaming
 // prefixes that grow bucket by bucket, the per-request hot path of online
-// CPU-usage prediction. Variants: the naive full rescan per update, the
-// incremental per-session accumulation, and the pruned lower-bound
-// cascade. A one-time golden check asserts all variants identify exactly
-// the same bank entries as the naive matcher.
+// CPU-usage prediction. Variants: the naive full rescan per update and
+// the session's pruned lower-bound cascade. A one-time golden check
+// asserts the cascade identifies exactly the same bank entries as the
+// naive matcher.
 //
 // Run with:
 //
@@ -67,23 +67,16 @@ func BenchmarkIdentify(b *testing.B) {
 	bank, streams := identifyFixture()
 	matcher := signature.NewMatcher(bank)
 
-	// Golden check: the fast-path variants must match naive exactly at
-	// every prefix length, ties and all.
+	// Golden check: the cascade must match naive exactly at every prefix
+	// length, ties and all.
 	cascaded := matcher.NewSession()
-	plain := matcher.NewSession()
-	plain.DisableCascade = true
 	for _, stream := range streams {
 		cascaded.Reset()
-		plain.Reset()
 		for t := 1; t <= len(stream); t++ {
 			want := bank.IdentifyPattern(stream[:t])
 			cascaded.Extend(stream[t-1])
-			plain.Extend(stream[t-1])
 			if got := cascaded.Best(); got != want {
 				b.Fatalf("cascaded best %d, naive %d (prefix %d)", got, want, t)
-			}
-			if got := plain.Best(); got != want {
-				b.Fatalf("incremental best %d, naive %d (prefix %d)", got, want, t)
 			}
 		}
 	}
@@ -93,20 +86,6 @@ func BenchmarkIdentify(b *testing.B) {
 			for _, stream := range streams {
 				for t := 1; t <= len(stream); t++ {
 					bank.IdentifyPattern(stream[:t])
-				}
-			}
-		}
-	})
-	b.Run("incremental", func(b *testing.B) {
-		s := matcher.NewSession()
-		s.DisableCascade = true
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, stream := range streams {
-				s.Reset()
-				for _, v := range stream {
-					s.Extend(v)
-					s.Best()
 				}
 			}
 		}

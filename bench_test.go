@@ -220,10 +220,10 @@ func BenchmarkFigure13(b *testing.B) {
 // BenchmarkPairwiseMatrix measures the pairwise-distance engine on a
 // 200-request population of CPI-like patterns under the paper's
 // asynchrony-penalized DTW: the serial fill vs the GOMAXPROCS worker pool
-// (the speedup target is ≥3× at GOMAXPROCS ≥ 4), plus the Sakoe-Chiba
-// banded fill. The unbanded legs report ns/cell, host time over the
-// Σ len_i·len_j DP cells of all pairs. A one-time check asserts the
-// parallel matrix is element-for-element identical to the serial one.
+// (the speedup target is ≥3× at GOMAXPROCS ≥ 4). Both legs report
+// ns/cell, host time over the Σ len_i·len_j DP cells of all pairs. A
+// one-time check asserts the parallel matrix is element-for-element
+// identical to the serial one.
 func BenchmarkPairwiseMatrix(b *testing.B) {
 	const population = 200
 	g := sim.NewRNG(42)
@@ -275,12 +275,6 @@ func BenchmarkPairwiseMatrix(b *testing.B) {
 			distance.NewMatrixFromSequences(seqs, d, distance.MatrixOptions{})
 		}
 		perCell(b)
-	})
-	b.Run("parallel-banded", func(b *testing.B) {
-		banded := distance.DTW{AsyncPenalty: 0.5, Window: 8}
-		for i := 0; i < b.N; i++ {
-			distance.NewMatrixFromSequences(seqs, banded, distance.MatrixOptions{})
-		}
 	})
 }
 

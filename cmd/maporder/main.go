@@ -141,6 +141,9 @@ type loader struct {
 	std     types.Importer
 	pkgs    map[string]*types.Package
 	loading map[string]bool
+	// shared, when set, records the type information of every memoized
+	// load (dependencies included), so one Info spans the whole module.
+	shared *types.Info
 }
 
 func newLoader(modRoot, modPath string) *loader {
@@ -195,16 +198,18 @@ func (l *loader) importPathOf(dir string) string {
 }
 
 // load parses and type-checks one package directory. Dependency loads
-// (info == nil) are memoized; audit loads pass an Info to capture the
-// expression types the range scan needs.
+// (info == nil) are memoized and record into l.shared; audit loads pass an
+// Info to capture the expression types the range scan needs.
 func (l *loader) load(path, dir string, info *types.Info) (*types.Package, []*ast.File, error) {
-	if info == nil {
+	memo := info == nil
+	if memo {
 		if p, ok := l.pkgs[path]; ok {
 			return p, nil, nil
 		}
 		if l.loading[path] {
 			return nil, nil, fmt.Errorf("import cycle through %s", path)
 		}
+		info = l.shared
 	}
 	files, err := l.parseDir(dir)
 	if err != nil {
@@ -224,7 +229,7 @@ func (l *loader) load(path, dir string, info *types.Info) (*types.Package, []*as
 		Error: func(error) {},
 	}
 	pkg, _ := conf.Check(path, l.fset, files, info)
-	if info == nil {
+	if memo {
 		l.pkgs[path] = pkg
 	}
 	return pkg, files, nil

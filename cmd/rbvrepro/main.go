@@ -166,6 +166,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	cfg := experiments.Config{Seed: *seed, Scale: *scale, Obs: col}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(stderr, "rbvrepro: %v\n", err)
+		return 2
+	}
 	if *topoSpec != "" {
 		topo, err := machine.ParseTopology(*topoSpec)
 		if err != nil {

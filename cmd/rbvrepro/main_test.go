@@ -74,6 +74,17 @@ func TestRunBadFlagExitsTwo(t *testing.T) {
 	}
 }
 
+// A scale the experiments cannot honour is a usage error, not a silent
+// full-scale (-1, 0) or minimum-scale (NaN, Inf) run.
+func TestRunBadScaleExitsTwo(t *testing.T) {
+	for _, scale := range []string{"NaN", "Inf", "-1", "0"} {
+		code, stdout, stderr := cli(t, "-run", "fig1", "-scale", scale)
+		if code != 2 || !strings.Contains(stderr, "Config.Scale") || stdout != "" {
+			t.Errorf("-scale %s: exit %d, stdout %q, stderr %q; want exit 2 naming Config.Scale", scale, code, stdout, stderr)
+		}
+	}
+}
+
 func TestRunTracePrintsSummary(t *testing.T) {
 	code, stdout, stderr := cli(t, "-run", "faultanomaly", "-scale", "0.05", "-trace")
 	if code != 0 {

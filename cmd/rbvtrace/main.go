@@ -37,6 +37,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *buckets <= 0 {
+		fmt.Fprintf(stderr, "rbvtrace: -buckets must be positive, got %d\n", *buckets)
+		return 2
+	}
+	if *limit < 0 {
+		fmt.Fprintf(stderr, "rbvtrace: -limit must be non-negative, got %d\n", *limit)
+		return 2
+	}
 
 	app, err := workload.ByName(*appName)
 	if err != nil {

@@ -90,6 +90,22 @@ func TestRunBadFlagExitsTwo(t *testing.T) {
 	}
 }
 
+// Out-of-range -buckets and -limit values are usage errors naming the
+// flag: -buckets 0 used to print one 100% bucket, -buckets -3 dropped every
+// timeline and -limit -1 printed none.
+func TestRunBadBucketsAndLimitExitTwo(t *testing.T) {
+	for _, tc := range []struct{ flag, val string }{
+		{"-buckets", "0"}, {"-buckets", "-3"}, {"-limit", "-1"},
+	} {
+		var out, errBuf bytes.Buffer
+		code := run([]string{"-app", "tpcc", "-requests", "2", tc.flag, tc.val}, &out, &errBuf)
+		if code != 2 || !strings.Contains(errBuf.String(), tc.flag) || out.Len() != 0 {
+			t.Errorf("%s %s: exit %d, stdout %q, stderr %q; want exit 2 naming the flag",
+				tc.flag, tc.val, code, out.String(), errBuf.String())
+		}
+	}
+}
+
 // -topology overrides the machine: a half-clock topology stretches every
 // request's virtual time, which shows up as a different (still
 // deterministic) dump; a bad spec exits 2 naming the field.

@@ -90,19 +90,11 @@ func (d Demand) weight(cfg Config) float64 {
 	return d.WorkingSetBytes * (0.25 + intensity)
 }
 
-// MissRatios returns the effective miss ratio for each demand when all of
-// them co-run on one package sharing a cfg-shaped cache. nil entries in
-// demands denote idle cores and produce 0.
-func MissRatios(cfg Config, demands []*Demand) []float64 {
-	out := make([]float64, len(demands))
-	MissRatiosInto(cfg, demands, out)
-	return out
-}
-
-// MissRatiosInto is MissRatios writing into a caller-provided slice, for
-// hot paths (the machine re-derives rates on every activity change) that
-// must not allocate. out must have len(demands) entries; entries for nil
-// demands are set to 0.
+// MissRatiosInto writes into out the effective miss ratio for each demand
+// when all of them co-run on one package sharing a cfg-shaped cache. out
+// is caller-provided because the hot paths (the machine re-derives rates
+// on every activity change) must not allocate; it must have len(demands)
+// entries. nil entries in demands denote idle cores and produce 0.
 func MissRatiosInto(cfg Config, demands []*Demand, out []float64) {
 	var totalWeight, totalWS float64
 	for _, d := range demands {

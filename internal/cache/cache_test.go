@@ -8,9 +8,16 @@ import (
 
 func cfg() Config { return DefaultConfig() }
 
+// missRatios runs MissRatiosInto on the default config into a fresh slice.
+func missRatios(demands []*Demand) []float64 {
+	out := make([]float64, len(demands))
+	MissRatiosInto(cfg(), demands, out)
+	return out
+}
+
 func TestSoloDemandKeepsSoloMissRatio(t *testing.T) {
 	d := &Demand{RefsPerIns: 0.04, SoloMissRatio: 0.15, WorkingSetBytes: 2 << 20}
-	got := MissRatios(cfg(), []*Demand{d, nil})
+	got := missRatios([]*Demand{d, nil})
 	if got[0] != 0.15 {
 		t.Fatalf("solo miss ratio = %v, want 0.15", got[0])
 	}
@@ -23,7 +30,7 @@ func TestSmallWorkingSetsDoNotContend(t *testing.T) {
 	// Two 1 MB working sets fit together in a 4 MB cache: no inflation.
 	a := &Demand{RefsPerIns: 0.01, SoloMissRatio: 0.1, WorkingSetBytes: 1 << 20}
 	b := &Demand{RefsPerIns: 0.01, SoloMissRatio: 0.1, WorkingSetBytes: 1 << 20}
-	got := MissRatios(cfg(), []*Demand{a, b})
+	got := missRatios([]*Demand{a, b})
 	if got[0] != 0.1 || got[1] != 0.1 {
 		t.Fatalf("fitting working sets inflated: %v", got)
 	}
@@ -32,7 +39,7 @@ func TestSmallWorkingSetsDoNotContend(t *testing.T) {
 func TestLargeWorkingSetsContend(t *testing.T) {
 	a := &Demand{RefsPerIns: 0.04, SoloMissRatio: 0.15, WorkingSetBytes: 6 << 20}
 	b := &Demand{RefsPerIns: 0.04, SoloMissRatio: 0.15, WorkingSetBytes: 6 << 20}
-	got := MissRatios(cfg(), []*Demand{a, b})
+	got := missRatios([]*Demand{a, b})
 	if got[0] <= 0.15 {
 		t.Fatalf("co-running large working sets should inflate miss ratio: %v", got[0])
 	}
@@ -48,8 +55,8 @@ func TestIntenseCoRunnerHurtsMore(t *testing.T) {
 	victim := &Demand{RefsPerIns: 0.02, SoloMissRatio: 0.1, WorkingSetBytes: 3 << 20}
 	mild := &Demand{RefsPerIns: 0.005, SoloMissRatio: 0.1, WorkingSetBytes: 3 << 20}
 	fierce := &Demand{RefsPerIns: 0.08, SoloMissRatio: 0.3, WorkingSetBytes: 8 << 20}
-	withMild := MissRatios(cfg(), []*Demand{victim, mild})[0]
-	withFierce := MissRatios(cfg(), []*Demand{victim, fierce})[0]
+	withMild := missRatios([]*Demand{victim, mild})[0]
+	withFierce := missRatios([]*Demand{victim, fierce})[0]
 	if withFierce <= withMild {
 		t.Fatalf("fierce co-runner (%v) should hurt more than mild (%v)", withFierce, withMild)
 	}
@@ -67,7 +74,7 @@ func TestMissRatiosBoundedProperty(t *testing.T) {
 				WorkingSetBytes: r.Float64() * float64(32<<20),
 			}
 		}
-		for i, m := range MissRatios(cfg(), ds) {
+		for i, m := range missRatios(ds) {
 			if m < ds[i].SoloMissRatio-1e-12 || m > 1 {
 				return false
 			}
@@ -91,8 +98,8 @@ func TestMoreCoRunnersMonotoneProperty(t *testing.T) {
 			}
 		}
 		a, b, c := mk(), mk(), mk()
-		two := MissRatios(cfg(), []*Demand{a, b})[0]
-		three := MissRatios(cfg(), []*Demand{a, b, c})[0]
+		two := missRatios([]*Demand{a, b})[0]
+		three := missRatios([]*Demand{a, b, c})[0]
 		return three >= two-1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

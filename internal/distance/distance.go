@@ -9,8 +9,9 @@ package distance
 
 import (
 	"math"
-	"sort"
 	"sync"
+
+	"repro/internal/stats"
 )
 
 // Measure quantifies the difference between two requests' time-ordered
@@ -52,17 +53,9 @@ func (d L1) Distance(x, y []float64) float64 {
 // pointers, where a warp step advances both pointers (synchronous) or one
 // (asynchronous). AsyncPenalty, when positive, is added per asynchronous
 // step — the paper's enhancement that prevents under-estimating request
-// differences through no-cost time shifting. Complexity O(m·n), or O(m·w)
-// when a Sakoe-Chiba band of width w constrains the warp path.
+// differences through no-cost time shifting. Complexity O(m·n).
 type DTW struct {
 	AsyncPenalty float64
-	// Window, when positive, restricts warp paths to a Sakoe-Chiba band
-	// |i−j| ≤ max(Window, |m−n|) around the diagonal, cutting the cost per
-	// pair from O(m·n) to O(m·w). Paths outside the band are forbidden, so
-	// the result is an upper bound on the unconstrained distance — and
-	// exactly equal to it whenever the band covers the full grid
-	// (Window ≥ max(m,n)−1). Zero or negative means unconstrained.
-	Window int
 }
 
 // Name implements Measure.
@@ -111,12 +104,7 @@ func (d DTW) Distance(x, y []float64) float64 {
 	// loop allocates nothing.
 	s := dtwPool.Get().(*dtwScratch)
 	prev, cur := s.rows(n)
-	var v float64
-	if d.Window > 0 {
-		v = d.banded(x, y, prev, cur)
-	} else {
-		v = d.exact(x, y, prev, cur)
-	}
+	v := d.exact(x, y, prev, cur)
 	dtwPool.Put(s)
 	return v
 }
@@ -132,9 +120,9 @@ const dtwBlock = 4
 // the cheapest predecessor, where the two asynchronous steps (advance x
 // only, from up; advance y only, from left) also pay the penalty. The
 // strict comparisons keep the synchronous candidate on ties, never let a
-// NaN alternative win, and keep a NaN synchronous candidate. Every kernel
-// evaluates every cell through this one expression, which is what makes
-// the blocked and banded fills bit-identical to a row-by-row fill.
+// NaN alternative win, and keep a NaN synchronous candidate. Both fills in
+// exact evaluate every cell through this one expression, which is what
+// makes the blocked fill bit-identical to a row-by-row fill.
 //
 // The comparisons select a candidate's bit pattern rather than the float
 // itself, which lets the compiler use conditional moves instead of
@@ -255,64 +243,6 @@ func (d DTW) block(x, y, prev, cur []float64) {
 	cur[n-1] = cell(c2, n2, n3, math.Abs(x3-y[n-1]), p)
 }
 
-// banded fills only the Sakoe-Chiba band of each DP row. Cells outside the
-// band are unreachable; an +Inf sentinel just past each row's band keeps
-// the next row's out-of-band reads from seeing stale values. At the band's
-// left edge the advance-y predecessor is outside the band: an +Inf left
-// input can never win cell's strict comparison, so the edge cell is the
-// same expression with that candidate dropped. Every in-band cell is
-// evaluated as in the exact kernel, so a band covering the whole grid is
-// bit-identical to it.
-func (d DTW) banded(x, y, prev, cur []float64) float64 {
-	m, n := len(x), len(y)
-	p := d.AsyncPenalty
-	w := d.Window
-	if diff := m - n; diff > w || -diff > w {
-		// A warp path must bridge the length difference; widen to keep one
-		// reachable.
-		if diff < 0 {
-			diff = -diff
-		}
-		w = diff
-	}
-	inf := math.Inf(1)
-	hi := w
-	if hi > n-1 {
-		hi = n - 1
-	}
-	prev[0] = math.Abs(x[0] - y[0])
-	for j := 1; j <= hi; j++ {
-		prev[j] = prev[j-1] + math.Abs(x[0]-y[j]) + p
-	}
-	if hi+1 < n {
-		prev[hi+1] = inf
-	}
-	for i := 1; i < m; i++ {
-		xi := x[i]
-		lo := i - w
-		if lo < 0 {
-			lo = 0
-		}
-		hi = i + w
-		if hi > n-1 {
-			hi = n - 1
-		}
-		if lo == 0 {
-			cur[0] = prev[0] + math.Abs(xi-y[0]) + p
-		} else {
-			cur[lo] = cell(prev[lo-1], prev[lo], inf, math.Abs(xi-y[lo]), p)
-		}
-		for j := lo + 1; j <= hi; j++ {
-			cur[j] = cell(prev[j-1], prev[j], cur[j-1], math.Abs(xi-y[j]), p)
-		}
-		if hi+1 < n {
-			cur[hi+1] = inf
-		}
-		prev, cur = cur, prev
-	}
-	return prev[n-1]
-}
-
 func sumAbs(xs []float64) float64 {
 	var s float64
 	for _, v := range xs {
@@ -331,18 +261,7 @@ func (AverageDiff) Name() string { return "average-metric" }
 
 // Distance implements Measure.
 func (AverageDiff) Distance(x, y []float64) float64 {
-	return math.Abs(mean(x) - mean(y))
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range xs {
-		s += v
-	}
-	return s / float64(len(xs))
+	return math.Abs(stats.Mean(x) - stats.Mean(y))
 }
 
 // Levenshtein is the string edit distance between two system call name
@@ -405,7 +324,7 @@ func PeakPenalty(sequences [][]float64) float64 {
 		j := (i + stride) % len(pool)
 		diffs = append(diffs, math.Abs(pool[i]-pool[j]))
 	}
-	return percentile(diffs, 99)
+	return stats.Percentile(diffs, 99)
 }
 
 // nearestCoprime returns the stride closest to want in [1, n) that is
@@ -432,19 +351,4 @@ func gcd(a, b int) int {
 		a, b = b, a%b
 	}
 	return a
-}
-
-func percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(rank)
-	if lo >= len(sorted)-1 {
-		return sorted[len(sorted)-1]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }

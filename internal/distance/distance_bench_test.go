@@ -53,15 +53,6 @@ func BenchmarkDTW_1000(b *testing.B) {
 	}
 }
 
-func BenchmarkDTWBanded_1000(b *testing.B) {
-	x, y := benchSeq(1000, 1), benchSeq(1000, 2)
-	d := DTW{AsyncPenalty: 0.5, Window: 50}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Distance(x, y)
-	}
-}
-
 // BenchmarkDTWPipelineShape times the exact penalized DTW over every pair
 // of a 240-request population shaped like the offline pipeline's input:
 // CPI-like random walks whose lengths span 12–150 periods, the range of the

@@ -128,62 +128,6 @@ func TestDTWEmptyVsNonEmptyNeverFree(t *testing.T) {
 	}
 }
 
-func TestDTWBandEqualsExactWhenWindowSpansGrid(t *testing.T) {
-	// A band covering the whole warp grid must reproduce the
-	// unconstrained distance bit for bit (same arithmetic, same order).
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		x := randSeq(r, 1+r.Intn(25))
-		y := randSeq(r, 1+r.Intn(25))
-		pen := float64(r.Intn(3)) * 0.4
-		w := len(x)
-		if len(y) > w {
-			w = len(y)
-		}
-		exact := DTW{AsyncPenalty: pen}.Distance(x, y)
-		banded := DTW{AsyncPenalty: pen, Window: w}.Distance(x, y)
-		return banded == exact
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDTWBandUpperBoundsExact(t *testing.T) {
-	// A narrow band forbids warp paths, so it can only over-estimate, and
-	// widening the band is monotone non-increasing down to the exact value.
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		x := randSeq(r, 2+r.Intn(20))
-		y := randSeq(r, 2+r.Intn(20))
-		exact := DTW{AsyncPenalty: 0.3}.Distance(x, y)
-		prevV := math.Inf(1)
-		for w := 1; w <= len(x)+len(y); w++ {
-			v := DTW{AsyncPenalty: 0.3, Window: w}.Distance(x, y)
-			if v < exact-1e-9 || v > prevV+1e-9 {
-				return false
-			}
-			prevV = v
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDTWBandShiftedPeak(t *testing.T) {
-	// Window 1 still absorbs a one-slot shift; window 0 means unbanded.
-	x := []float64{1, 1, 5, 1, 1, 1}
-	y := []float64{1, 1, 1, 5, 1, 1}
-	if got := (DTW{Window: 1}).Distance(x, y); got != 0 {
-		t.Fatalf("window-1 DTW of one-slot shift = %v, want 0", got)
-	}
-	if got := (DTW{}).Distance(x, y); got != 0 {
-		t.Fatalf("unbanded DTW = %v, want 0", got)
-	}
-}
-
 func TestAverageDiff(t *testing.T) {
 	d := AverageDiff{}
 	if got := d.Distance([]float64{1, 3}, []float64{2, 2}); got != 0 {

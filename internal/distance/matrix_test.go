@@ -45,7 +45,7 @@ func TestMatrixParallelEqualsSerial(t *testing.T) {
 
 func TestMatrixMatchesDirectDistance(t *testing.T) {
 	seqs := randSeqs(2, 25, 3, 30)
-	for _, d := range []Measure{DTW{}, DTW{AsyncPenalty: 0.7}, DTW{AsyncPenalty: 0.7, Window: 4}, L1{Penalty: 2}} {
+	for _, d := range []Measure{DTW{}, DTW{AsyncPenalty: 0.7}, L1{Penalty: 2}} {
 		m := NewMatrixFromSequences(seqs, d, MatrixOptions{Workers: 4})
 		for i := range seqs {
 			for j := range seqs {

@@ -143,16 +143,14 @@ type Cluster struct {
 	faults *fault.Schedule
 	cobs   clusterObs
 
-	inflight int
-	done     func(*Trace)
+	done func(*Trace)
 }
 
 // Config builds a cluster.
 type Config struct {
-	// Nodes is the number of machines (each gets KernelConfig's cores).
+	// Nodes is the number of machines (each gets the default kernel
+	// config's cores).
 	Nodes int
-	// KernelConfig configures every node's kernel (zero value = default).
-	KernelConfig *kernel.Config
 	// Sampling configures every node's tracker.
 	Sampling sampling.Config
 	// Placement maps each application tier to a node index. Tiers beyond
@@ -167,7 +165,7 @@ type Config struct {
 	// workload content stream.
 	Seed int64
 	// Topology, when non-nil, sets every node's machine layout (it
-	// overrides KernelConfig's machine topology).
+	// overrides the default machine topology).
 	Topology *machine.Topology
 	// Topologies, when non-empty, gives each node its own layout — a
 	// heterogeneous fleet. Its length must equal Nodes; it overrides
@@ -233,9 +231,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		kcfg := kernel.DefaultConfig()
-		if cfg.KernelConfig != nil {
-			kcfg = *cfg.KernelConfig
-		}
 		if t := cfg.topologyFor(i); t != nil {
 			kcfg.Machine.Topology = *t
 		}
@@ -307,9 +302,6 @@ func (c *Cluster) SetFaults(s *fault.Schedule) {
 		c.eng.At(f.End, apply)
 	}
 }
-
-// Faults returns the installed schedule (nil when clean).
-func (c *Cluster) Faults() *fault.Schedule { return c.faults }
 
 // Segment is one per-node stretch of a distributed request.
 type Segment struct {
@@ -424,16 +416,12 @@ func (c *Cluster) Submit(req *workload.Request) {
 		rng:       req.RNG,
 		hedgedSeg: -1,
 	}
-	c.inflight++
 	// The entry segment arrives with the request itself — no cluster hop.
 	c.dispatch(p, 0, c.NodeFor(p.segments[0].tier), 0, false)
 }
 
 // OnDone registers the completion callback for distributed traces.
 func (c *Cluster) OnDone(fn func(*Trace)) { c.done = fn }
-
-// Inflight reports in-flight distributed requests.
-func (c *Cluster) Inflight() int { return c.inflight }
 
 // expectation links a dispatched sub-request back to its distributed
 // request: the segment index detects stale hedge losers, delay carries the
@@ -678,7 +666,6 @@ func (c *Cluster) segmentDone(node *Node) func(run *kernel.RequestRun) {
 		if p.next >= len(p.segments) {
 			p.trace.End = c.eng.Now()
 			p.trace.Path.Root.Dur = p.trace.End - p.trace.Start
-			c.inflight--
 			if c.done != nil {
 				c.done(p.trace)
 			}

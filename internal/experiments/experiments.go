@@ -11,6 +11,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -45,14 +46,18 @@ type Config struct {
 	Topology *machine.Topology
 }
 
-// DefaultConfig returns the standard evaluation configuration.
-func DefaultConfig() Config { return Config{Seed: 1, Scale: 1} }
+// Validate reports configuration errors, naming the offending field.
+// Scale must be finite and positive: int conversion of a NaN or infinite
+// product is undefined, and a non-positive scale has no meaning.
+func (c Config) Validate() error {
+	if !(c.Scale > 0) || math.IsInf(c.Scale, 1) {
+		return fmt.Errorf("experiments: Config.Scale must be finite and positive, got %v", c.Scale)
+	}
+	return nil
+}
 
 // scaled returns n×Scale, at least min.
 func (c Config) scaled(n, min int) int {
-	if c.Scale <= 0 {
-		c.Scale = 1
-	}
 	v := int(float64(n) * c.Scale)
 	if v < min {
 		v = min

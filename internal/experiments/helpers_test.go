@@ -68,10 +68,6 @@ func TestConfigScaling(t *testing.T) {
 	if got := c.scaled(10, 30); got != 30 {
 		t.Fatalf("min not applied: %d", got)
 	}
-	zero := Config{}
-	if got := zero.scaled(100, 1); got != 100 {
-		t.Fatalf("zero scale should default to 1: %d", got)
-	}
 	// Per-app request counts stay ordered by request length.
 	if c.modelingRequests("webserver") <= c.modelingRequests("tpch") {
 		t.Fatal("short-request apps should get more requests")

@@ -25,6 +25,9 @@ type entry[T fmt.Stringer] struct {
 func (e entry[T]) Name() string { return e.name }
 
 func (e entry[T]) Run(cfg Config) (fmt.Stringer, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cfg.Obs.Enter(e.name)
 	defer cfg.Obs.Exit(0) // scope node: time lives in the child "run" spans
 	r, err := e.fn(cfg)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -33,6 +34,18 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if _, ok := Lookup("fig99"); ok {
 		t.Error("Lookup of unknown name succeeded")
+	}
+}
+
+// A registry entry refuses a scale it cannot honour instead of rewriting
+// it: non-positive scales used to run at full scale, NaN and +Inf at the
+// minimum request counts.
+func TestRegistryRejectsBadScale(t *testing.T) {
+	e, _ := Lookup("fig1")
+	for _, scale := range []float64{math.NaN(), math.Inf(1), -1, 0} {
+		if _, err := e.Run(Config{Seed: 1, Scale: scale}); err == nil || !strings.Contains(err.Error(), "experiments: Config.Scale") {
+			t.Errorf("Scale %v: err = %v, want one naming experiments: Config.Scale", scale, err)
+		}
 	}
 }
 

@@ -13,7 +13,6 @@ package fault
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/sim"
 )
@@ -220,17 +219,6 @@ func (s *Schedule) Faults() []Fault {
 	return s.faults
 }
 
-// Count returns the number of scheduled faults of a kind.
-func (s *Schedule) Count(k Kind) int {
-	n := 0
-	for _, f := range s.Faults() {
-		if f.Kind == k {
-			n++
-		}
-	}
-	return n
-}
-
 // FreqScale returns the node's effective frequency scale at time t: the
 // minimum over active slowdown windows, 1 when none are active.
 func (s *Schedule) FreqScale(node int, t sim.Time) float64 {
@@ -363,20 +351,4 @@ func Evaluate(predicted, truth map[uint64]bool) Eval {
 func (e Eval) String() string {
 	return fmt.Sprintf("precision %.3f recall %.3f F1 %.3f (tp=%d fp=%d fn=%d)",
 		e.Precision, e.Recall, e.F1, e.TruePositives, e.FalsePositives, e.FalseNegatives)
-}
-
-// Summary renders the schedule compactly, windows sorted by start time.
-func (s *Schedule) Summary() string {
-	faults := append([]Fault(nil), s.Faults()...)
-	sort.Slice(faults, func(i, j int) bool {
-		if faults[i].Start != faults[j].Start {
-			return faults[i].Start < faults[j].Start
-		}
-		return faults[i].Kind < faults[j].Kind
-	})
-	out := fmt.Sprintf("%d faults:", len(faults))
-	for _, f := range faults {
-		out += "\n  " + f.String()
-	}
-	return out
 }

@@ -20,8 +20,6 @@ type LoadConfig struct {
 	// ThinkMean is the mean exponential client think time between a
 	// response and the next request (0 for a saturating load).
 	ThinkMean sim.Time
-	// WorkersPerTier sizes each tier's process pool; 0 means Concurrency.
-	WorkersPerTier int
 	// Seed drives workload generation and think times.
 	Seed int64
 }
@@ -34,7 +32,6 @@ type Driver struct {
 	think     *sim.RNG
 	submitted int
 	completed int
-	runs      []*RequestRun
 	stopped   bool
 }
 
@@ -44,12 +41,8 @@ func NewDriver(k *Kernel, cfg LoadConfig) *Driver {
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 1
 	}
-	workers := cfg.WorkersPerTier
-	if workers <= 0 {
-		workers = cfg.Concurrency
-	}
 	for tier := 0; tier < cfg.App.Tiers(); tier++ {
-		k.AddWorkers(tier, workers)
+		k.AddWorkers(tier, cfg.Concurrency)
 	}
 	d := &Driver{
 		cfg:   cfg,
@@ -74,9 +67,6 @@ func (d *Driver) Start() {
 	}
 }
 
-// Runs returns the completed request executions, in completion order.
-func (d *Driver) Runs() []*RequestRun { return d.runs }
-
 // Completed reports how many requests have finished.
 func (d *Driver) Completed() int { return d.completed }
 
@@ -89,9 +79,8 @@ func (d *Driver) submitNext() {
 	d.k.Submit(req)
 }
 
-func (d *Driver) onDone(run *RequestRun) {
+func (d *Driver) onDone(*RequestRun) {
 	d.completed++
-	d.runs = append(d.runs, run)
 	if d.completed >= d.cfg.Requests {
 		if !d.stopped {
 			d.stopped = true

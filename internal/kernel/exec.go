@@ -455,7 +455,6 @@ func (k *Kernel) finishRequest(c *coreState) {
 	run := t.Run
 	run.Done = true
 	run.End = k.eng.Now()
-	k.active--
 	// Defensive: wake any stray waiters (well-formed phase programs leave
 	// none, since the final phase runs on the original tier-0 thread).
 	for _, w := range run.waiters {

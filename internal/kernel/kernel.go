@@ -118,9 +118,6 @@ type Thread struct {
 	wake *sim.Timer
 }
 
-// Core returns the thread's home core, or -1 if unplaced.
-func (t *Thread) Core() int { return t.core }
-
 // RequestRun is the kernel-side execution state of one request: the
 // "request context" the paper's OS instrumentation maintains across CPU
 // context switches and inter-process propagation.
@@ -142,9 +139,6 @@ type RequestRun struct {
 	started     bool
 	waiters     []*Thread // upstream threads blocked on this request
 }
-
-// Phase returns the currently executing phase index.
-func (r *RequestRun) Phase() int { return r.phase }
 
 // InstructionsDone reports the request's completed application instructions.
 func (r *RequestRun) InstructionsDone() float64 { return r.insIntoRun }
@@ -213,7 +207,6 @@ type Kernel struct {
 	nextThreadID int
 
 	doneFns []func(*RequestRun)
-	active  int // in-flight requests
 
 	// Stats counts scheduling events for overhead analysis.
 	Stats struct {
@@ -252,9 +245,6 @@ func (k *Kernel) Engine() *sim.Engine { return k.eng }
 
 // Machine returns the underlying hardware model.
 func (k *Kernel) Machine() *machine.Machine { return k.mach }
-
-// Config returns the kernel configuration.
-func (k *Kernel) Config() Config { return k.cfg }
 
 // SetHooks installs the sampling layer's hooks. Must be called before the
 // simulation starts.
@@ -318,9 +308,6 @@ func (k *Kernel) OnRequestDone(fn func(*RequestRun)) {
 	k.doneFns = append(k.doneFns, fn)
 }
 
-// ActiveRequests reports the number of in-flight requests.
-func (k *Kernel) ActiveRequests() int { return k.active }
-
 // CurrentRun returns the request executing on the core, or nil.
 func (k *Kernel) CurrentRun(core int) *RequestRun {
 	if c := k.cores[core].cur; c != nil {
@@ -328,10 +315,6 @@ func (k *Kernel) CurrentRun(core int) *RequestRun {
 	}
 	return nil
 }
-
-// Runqueue returns the core's queued (runnable, not running) threads.
-// The returned slice must not be modified.
-func (k *Kernel) Runqueue(core int) []*Thread { return k.cores[core].runq }
 
 // Submit injects a request into the system; it will be picked up by a
 // tier-0 worker (or queue for one).
@@ -347,7 +330,6 @@ func (k *Kernel) Submit(req *workload.Request) *RequestRun {
 		entryPend:   req.Phases[0].EntrySyscall,
 		phaseFresh:  true,
 	}
-	k.active++
 	k.startStage(run, req.Phases[0].Tier)
 	return run
 }
@@ -361,20 +343,9 @@ func (k *Kernel) Sample(core int, ctx metrics.SampleContext) metrics.Counters {
 	return snap
 }
 
-// SetTimer schedules fn to run on the core in d nanoseconds, like a
-// CPU-local APIC one-shot timer. The returned event can be cancelled.
-func (k *Kernel) SetTimer(core int, d sim.Time, fn func()) *sim.Event {
-	return k.eng.After(d, fn)
-}
-
-// NewTimer returns a reusable CPU-local one-shot timer (see sim.Timer).
-// Long-lived periodic users (the sampling layer's per-core backup
-// interrupts) should prefer this over SetTimer: re-arming allocates
-// nothing, and each arm costs exactly one scheduling sequence number, the
-// same as a SetTimer call.
+// NewTimer returns a reusable one-shot timer for the core, like a
+// CPU-local APIC timer (see sim.Timer). Re-arming allocates nothing, and
+// each arm costs exactly one scheduling sequence number.
 func (k *Kernel) NewTimer(core int, fn func()) *sim.Timer {
 	return k.eng.NewTimer(fn)
 }
-
-// CancelTimer cancels a timer event.
-func (k *Kernel) CancelTimer(ev *sim.Event) { k.eng.Cancel(ev) }

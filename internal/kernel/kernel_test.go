@@ -10,12 +10,20 @@ import (
 	"repro/internal/workload"
 )
 
+// collectRuns records the kernel's completed requests in completion order.
+func collectRuns(k *Kernel) *[]*RequestRun {
+	var runs []*RequestRun
+	k.OnRequestDone(func(r *RequestRun) { runs = append(runs, r) })
+	return &runs
+}
+
 // runLoad executes a closed-loop load to completion and returns the kernel
-// and driver.
-func runLoad(t *testing.T, app workload.App, concurrency, requests int, cfg Config) (*Kernel, *Driver) {
+// and its completed requests.
+func runLoad(t *testing.T, app workload.App, concurrency, requests int, cfg Config) (*Kernel, []*RequestRun) {
 	t.Helper()
 	eng := sim.NewEngine()
 	k := New(eng, cfg)
+	runs := collectRuns(k)
 	d := NewDriver(k, LoadConfig{
 		App:         app,
 		Concurrency: concurrency,
@@ -27,15 +35,12 @@ func runLoad(t *testing.T, app workload.App, concurrency, requests int, cfg Conf
 	if d.Completed() != requests {
 		t.Fatalf("completed %d/%d requests", d.Completed(), requests)
 	}
-	return k, d
+	return k, *runs
 }
 
 func TestSerialWebLoadCompletes(t *testing.T) {
-	k, d := runLoad(t, workload.NewWebServer(), 1, 20, DefaultConfig())
-	if k.ActiveRequests() != 0 {
-		t.Fatalf("active requests after drain: %d", k.ActiveRequests())
-	}
-	for _, run := range d.Runs() {
+	_, runs := runLoad(t, workload.NewWebServer(), 1, 20, DefaultConfig())
+	for _, run := range runs {
 		if !run.Done {
 			t.Fatal("run not marked done")
 		}
@@ -72,6 +77,7 @@ func TestMultiTierRUBiS(t *testing.T) {
 			}
 		},
 	})
+	runs := collectRuns(k)
 	d := NewDriver(k, LoadConfig{App: workload.NewRUBiS(), Concurrency: 4, Requests: 30, Seed: 7})
 	d.Start()
 	eng.RunAll()
@@ -82,7 +88,7 @@ func TestMultiTierRUBiS(t *testing.T) {
 		t.Fatal("no tier hops (sendto syscalls) in RUBiS")
 	}
 	// All requests finished with full instruction counts despite hopping.
-	for _, run := range d.Runs() {
+	for _, run := range *runs {
 		want := run.Req.TotalInstructions()
 		if math.Abs(run.InstructionsDone()-want) > 0.01*want+100 {
 			t.Fatalf("RUBiS %s: done %.0f of %.0f", run.Req, run.InstructionsDone(), want)
@@ -190,8 +196,8 @@ func TestConcurrentLoadUsesMultipleCores(t *testing.T) {
 func TestRequestCPUTimePlausible(t *testing.T) {
 	// A serial web request at ~150k instructions and CPI ~2 on 3 GHz
 	// should take on the order of 100 µs of CPU time.
-	_, d := runLoad(t, workload.NewWebServer(), 1, 10, DefaultConfig())
-	for _, run := range d.Runs() {
+	_, runs := runLoad(t, workload.NewWebServer(), 1, 10, DefaultConfig())
+	for _, run := range runs {
 		cpu := run.End - run.Start
 		if cpu < 10*sim.Microsecond || cpu > 10*sim.Millisecond {
 			t.Fatalf("web request wall time %v implausible", cpu)
@@ -213,10 +219,10 @@ func TestSampleReadsAndPerturbs(t *testing.T) {
 		if k.CurrentRun(0) != nil {
 			samples = append(samples, k.Sample(0, metrics.CtxInterrupt))
 		}
-		k.SetTimer(0, sim.Millisecond, tick)
+		eng.After(sim.Millisecond, tick)
 	}
 	k.OnRequestDone(func(*RequestRun) { done = true })
-	k.SetTimer(0, sim.Millisecond, tick)
+	eng.After(sim.Millisecond, tick)
 	d.Start()
 	eng.RunAll()
 	if len(samples) < 10 {
@@ -251,11 +257,12 @@ func TestDeterministicRuns(t *testing.T) {
 	sig := func() (uint64, sim.Time) {
 		eng := sim.NewEngine()
 		k := New(eng, DefaultConfig())
+		runs := collectRuns(k)
 		d := NewDriver(k, LoadConfig{App: workload.NewTPCC(), Concurrency: 4, Requests: 30, Seed: 11})
 		d.Start()
 		eng.RunAll()
 		var last sim.Time
-		for _, r := range d.Runs() {
+		for _, r := range *runs {
 			if r.End > last {
 				last = r.End
 			}

@@ -70,7 +70,7 @@ func TestCountersMonotoneUnderMixedEvents(t *testing.T) {
 		{BaseCPI: 2, RefsPerIns: 0.05, SoloMissRatio: 0.3, WorkingSetBytes: 8 << 20},
 		nil,
 	}
-	prev := m.PeekCounters(0)
+	prev := m.peekCounters(0)
 	for i := 0; i < 200; i++ {
 		switch g.Intn(3) {
 		case 0:
@@ -82,7 +82,7 @@ func TestCountersMonotoneUnderMixedEvents(t *testing.T) {
 			eng.After(sim.Time(g.Intn(100_000)), func() {})
 			eng.RunAll()
 		}
-		cur := m.PeekCounters(0)
+		cur := m.peekCounters(0)
 		if cur.Cycles < prev.Cycles || cur.Instructions < prev.Instructions ||
 			cur.L2Refs < prev.L2Refs || cur.L2Misses < prev.L2Misses {
 			t.Fatalf("counters moved backwards at step %d: %v -> %v", i, prev, cur)

@@ -216,9 +216,6 @@ func New(eng *sim.Engine, cfg Config) *Machine {
 	return m
 }
 
-// Config returns the machine's configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
 // Topology returns the machine's resolved package/core layout.
 func (m *Machine) Topology() Topology { return m.topo }
 
@@ -348,14 +345,8 @@ func (m *Machine) SetActivity(coreID int, a *Activity) {
 	}
 }
 
-// Activity returns the core's current activity (nil when idle).
-func (m *Machine) Activity(coreID int) *Activity { return m.cores[coreID].activity }
-
 // Rate returns the core's current execution rate.
 func (m *Machine) Rate(coreID int) Rate { return m.cores[coreID].rate }
-
-// PenaltyFactor returns the current machine-wide memory penalty inflation.
-func (m *Machine) PenaltyFactor() float64 { return m.penaltyFactor }
 
 // SetFrequencyScale sets the machine's DVFS multiplier: the effective clock
 // becomes CyclesPerNs × scale (scale 1 = nominal, 0.5 = half frequency).
@@ -382,12 +373,9 @@ func (m *Machine) SetFrequencyScale(scale float64) {
 	}
 }
 
-// FrequencyScale returns the current DVFS multiplier.
-func (m *Machine) FrequencyScale() float64 { return m.freqScale }
-
 // CoreFrequencyScale returns the core's static topology frequency scale
 // (1 on homogeneous nominal layouts); it composes multiplicatively with
-// the dynamic FrequencyScale.
+// the dynamic scale SetFrequencyScale sets.
 func (m *Machine) CoreFrequencyScale(coreID int) float64 { return m.coreScale[coreID] }
 
 // AppInstructions reports how many application instructions the core has
@@ -474,21 +462,6 @@ func (m *Machine) ReadCounters(coreID int, ctx metrics.SampleContext) (metrics.C
 	snap := c.hw.snapshot()
 	cost := m.Inject(coreID, m.observerEvents(c, ctx))
 	return snap, cost
-}
-
-// PeekCounters returns the counters without any observer effect. This is
-// the simulation's omniscient view, unavailable on real hardware; it exists
-// for tests and ground-truth validation only.
-func (m *Machine) PeekCounters(coreID int) metrics.Counters {
-	c := m.cores[coreID]
-	m.advance(c)
-	return c.hw.snapshot()
-}
-
-// ObserverEventsFor exposes the perturbation a sample would inject right
-// now, used by the sampling layer's compensation tables and by Table 1.
-func (m *Machine) ObserverEventsFor(coreID int, ctx metrics.SampleContext) metrics.Counters {
-	return m.observerEvents(m.cores[coreID], ctx)
 }
 
 // MinObserverEvents returns the minimum (Mbench-Spin) perturbation per

@@ -9,6 +9,14 @@ import (
 	"repro/internal/sim"
 )
 
+// peekCounters returns core's counters without any observer effect: the
+// simulation's omniscient view, unavailable on real hardware.
+func (m *Machine) peekCounters(coreID int) metrics.Counters {
+	c := m.cores[coreID]
+	m.advance(c)
+	return c.hw.snapshot()
+}
+
 func newTestMachine() (*sim.Engine, *Machine) {
 	eng := sim.NewEngine()
 	return eng, New(eng, DefaultConfig())
@@ -74,7 +82,7 @@ func TestTopology(t *testing.T) {
 func TestIdleCoreAccruesNothing(t *testing.T) {
 	eng, m := newTestMachine()
 	run(eng, sim.Millisecond)
-	c := m.PeekCounters(0)
+	c := m.peekCounters(0)
 	if !c.IsZero() {
 		t.Fatalf("idle core accrued %v", c)
 	}
@@ -84,7 +92,7 @@ func TestExecutionAccruesCounters(t *testing.T) {
 	eng, m := newTestMachine()
 	m.SetActivity(0, cpuBound())
 	run(eng, sim.Millisecond)
-	c := m.PeekCounters(0)
+	c := m.peekCounters(0)
 	if c.Instructions == 0 || c.Cycles == 0 {
 		t.Fatalf("no progress: %v", c)
 	}
@@ -105,7 +113,7 @@ func TestRefsAndMissesFollowActivity(t *testing.T) {
 	a := memBound()
 	m.SetActivity(1, a)
 	run(eng, sim.Millisecond)
-	c := m.PeekCounters(1)
+	c := m.peekCounters(1)
 	if got := c.Value(metrics.L2RefsPerIns); math.Abs(got-a.RefsPerIns) > 0.001 {
 		t.Fatalf("refs/ins = %v, want %v", got, a.RefsPerIns)
 	}
@@ -195,12 +203,12 @@ func TestSetActivityResetsAppInstructions(t *testing.T) {
 func TestInjectStallsProgress(t *testing.T) {
 	eng, m := newTestMachine()
 	m.SetActivity(0, cpuBound())
-	before := m.PeekCounters(0)
+	before := m.peekCounters(0)
 	stall := m.Inject(0, metrics.Counters{Cycles: 3000, Instructions: 100})
 	if stall != sim.Time(1000) {
 		t.Fatalf("stall = %v, want 1000ns for 3000 cycles at 3GHz", stall)
 	}
-	after := m.PeekCounters(0)
+	after := m.peekCounters(0)
 	if after.Cycles != before.Cycles+3000 || after.Instructions != before.Instructions+100 {
 		t.Fatalf("injection not applied: %v -> %v", before, after)
 	}
@@ -227,7 +235,7 @@ func TestReadCountersObserverEffect(t *testing.T) {
 	}
 	// The snapshot excludes this sample's own events, but the very next
 	// read (immediately) sees them.
-	snap2 := m.PeekCounters(0)
+	snap2 := m.peekCounters(0)
 	delta := snap2.Sub(snap1)
 	min := m.MinObserverEvents(metrics.CtxKernel)
 	if delta.Cycles < min.Cycles || delta.Instructions < min.Instructions {
@@ -239,8 +247,8 @@ func TestObserverEffectScalesWithPressure(t *testing.T) {
 	_, m := newTestMachine()
 	m.SetActivity(0, cpuBound()) // pressure ~0.015
 	m.SetActivity(1, &Activity{BaseCPI: 1, RefsPerIns: 0.05, SoloMissRatio: 0.9, WorkingSetBytes: 16 << 20})
-	low := m.ObserverEventsFor(0, metrics.CtxKernel)
-	high := m.ObserverEventsFor(1, metrics.CtxKernel)
+	low := m.observerEvents(m.cores[0], metrics.CtxKernel)
+	high := m.observerEvents(m.cores[1], metrics.CtxKernel)
 	if high.Cycles <= low.Cycles {
 		t.Fatalf("data-heavy sample should cost more cycles: %v vs %v", high, low)
 	}
@@ -251,8 +259,8 @@ func TestObserverEffectScalesWithPressure(t *testing.T) {
 		t.Fatalf("spin-like sample injected %d L2 refs", low.L2Refs)
 	}
 	// Interrupt sampling costs more than in-kernel sampling (Table 1).
-	ik := m.ObserverEventsFor(0, metrics.CtxKernel)
-	ir := m.ObserverEventsFor(0, metrics.CtxInterrupt)
+	ik := m.observerEvents(m.cores[0], metrics.CtxKernel)
+	ir := m.observerEvents(m.cores[0], metrics.CtxInterrupt)
 	if ir.Cycles <= ik.Cycles {
 		t.Fatalf("interrupt sample (%v) should cost more than in-kernel (%v)", ir, ik)
 	}
@@ -263,15 +271,15 @@ func TestIdleToRunningTransition(t *testing.T) {
 	run(eng, sim.Millisecond) // idle for a while
 	m.SetActivity(0, cpuBound())
 	run(eng, sim.Microsecond*100)
-	c := m.PeekCounters(0)
+	c := m.peekCounters(0)
 	// Only the running period accrues: ~300k cycles for 100 µs.
 	if c.Cycles > 400_000 {
 		t.Fatalf("idle period leaked cycles: %v", c)
 	}
 	m.SetActivity(0, nil)
-	snap := m.PeekCounters(0)
+	snap := m.peekCounters(0)
 	run(eng, sim.Millisecond)
-	if got := m.PeekCounters(0); got != snap {
+	if got := m.peekCounters(0); got != snap {
 		t.Fatal("counters advanced after going idle")
 	}
 }
@@ -296,7 +304,7 @@ func TestDeterminism(t *testing.T) {
 		run(eng, sim.Millisecond)
 		m.SetActivity(1, memBound())
 		run(eng, sim.Millisecond)
-		return m.PeekCounters(0)
+		return m.peekCounters(0)
 	}
 	a, b := runOnce(), runOnce()
 	if a != b {
@@ -307,8 +315,8 @@ func TestDeterminism(t *testing.T) {
 func TestFrequencyScaleStretchesTime(t *testing.T) {
 	eng, m := newTestMachine()
 	m.SetActivity(0, cpuBound())
-	if m.FrequencyScale() != 1 {
-		t.Fatalf("nominal scale = %v, want 1", m.FrequencyScale())
+	if m.freqScale != 1 {
+		t.Fatalf("nominal scale = %v, want 1", m.freqScale)
 	}
 	full, ok := m.TimeToReach(0, 300_000)
 	if !ok {
@@ -325,20 +333,20 @@ func TestFrequencyScaleStretchesTime(t *testing.T) {
 	// CPI per instruction is frequency-independent: run 1 ms scaled, the
 	// counters still show the activity's CPI.
 	run(eng, sim.Millisecond)
-	c := m.PeekCounters(0)
+	c := m.peekCounters(0)
 	wantCPI := m.Rate(0).CPI
 	if got := c.Value(metrics.CPI); math.Abs(got-wantCPI) > 0.01 {
 		t.Fatalf("scaled CPI = %v, want %v", got, wantCPI)
 	}
 	// Restoring nominal frequency restores the original rate.
 	m.SetFrequencyScale(1)
-	if m.Rate(0).NsPerIns != m.Rate(0).CPI/m.Config().CyclesPerNs {
+	if m.Rate(0).NsPerIns != m.Rate(0).CPI/m.cfg.CyclesPerNs {
 		t.Fatal("nominal rate not restored")
 	}
 	// Non-positive scales reset to nominal rather than halting the clock.
 	m.SetFrequencyScale(-3)
-	if m.FrequencyScale() != 1 {
-		t.Fatalf("negative scale accepted: %v", m.FrequencyScale())
+	if m.freqScale != 1 {
+		t.Fatalf("negative scale accepted: %v", m.freqScale)
 	}
 }
 

@@ -87,18 +87,6 @@ func (t Topology) NumCores() int {
 // NumPackages returns the package count.
 func (t Topology) NumPackages() int { return len(t.Packages) }
 
-// Homogeneous reports whether every package has the same core count, a
-// nominal frequency scale, and no cache override — the layouts
-// Homogeneous builds.
-func (t Topology) Homogeneous() bool {
-	for _, p := range t.Packages {
-		if p.Cores != t.Packages[0].Cores || p.FreqScale != 1 || p.CacheMB != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Validate reports topology errors, naming the offending field. NaN fails
 // every float check: it would break the String round trip.
 func (t Topology) Validate() error {

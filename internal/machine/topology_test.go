@@ -40,7 +40,7 @@ func TestParseTopologyShorthand(t *testing.T) {
 	if topo.NumCores() != 16 || topo.NumPackages() != 4 {
 		t.Fatalf("cores=16;per=4 → %d cores / %d packages", topo.NumCores(), topo.NumPackages())
 	}
-	if !topo.Homogeneous() {
+	if !topo.Equal(Homogeneous(16, 4)) {
 		t.Error("shorthand topology should be homogeneous")
 	}
 	// Default per is 2, matching the paper's dual-core packages.
@@ -216,8 +216,8 @@ func TestHeterogeneousMachine(t *testing.T) {
 	big := &Activity{BaseCPI: 1, RefsPerIns: 0.02, SoloMissRatio: 0.1, WorkingSetBytes: 4 << 20}
 	m.SetActivity(0, big)
 	m.SetActivity(1, big)
-	ev0 := m.ObserverEventsFor(0, metrics.CtxKernel)
-	ev1 := m.ObserverEventsFor(1, metrics.CtxKernel)
+	ev0 := m.observerEvents(m.cores[0], metrics.CtxKernel)
+	ev1 := m.observerEvents(m.cores[1], metrics.CtxKernel)
 	if ev0 == ev1 {
 		t.Fatalf("cache override should change sample perturbation: %+v == %+v", ev0, ev1)
 	}

@@ -49,17 +49,6 @@ func satSub(a, b uint64) uint64 {
 	return a - b
 }
 
-// Scale returns c with each field multiplied by n (used to remove n
-// sampling events' worth of observer effect from a period).
-func (c Counters) Scale(n uint64) Counters {
-	return Counters{
-		Cycles:       c.Cycles * n,
-		Instructions: c.Instructions * n,
-		L2Refs:       c.L2Refs * n,
-		L2Misses:     c.L2Misses * n,
-	}
-}
-
 // IsZero reports whether all counters are zero.
 func (c Counters) IsZero() bool {
 	return c == Counters{}

@@ -43,18 +43,6 @@ func TestSubNeverUnderflowsProperty(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	c := Counters{Cycles: 2, Instructions: 3, L2Refs: 4, L2Misses: 5}
-	got := c.Scale(3)
-	want := Counters{Cycles: 6, Instructions: 9, L2Refs: 12, L2Misses: 15}
-	if got != want {
-		t.Fatalf("Scale = %v, want %v", got, want)
-	}
-	if !c.Scale(0).IsZero() {
-		t.Fatal("Scale(0) should be zero")
-	}
-}
-
 func TestValue(t *testing.T) {
 	c := Counters{Cycles: 300, Instructions: 100, L2Refs: 20, L2Misses: 5}
 	cases := []struct {

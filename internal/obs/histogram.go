@@ -28,7 +28,7 @@ type Histogram struct {
 }
 
 // NewHistogram returns a standalone histogram (usable without a
-// Collector; see Collector.Histogram for the registered form).
+// Collector; Collector.RegisterHistogram adds it to a run report).
 func NewHistogram(name string) *Histogram {
 	return &Histogram{name: name}
 }
@@ -137,26 +137,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		cum += float64(c)
 	}
 	return float64(h.max.Load())
-}
-
-// Histogram returns the named registered histogram, creating it on first
-// use (nil on a nil collector, mirroring Counter/Gauge).
-func (c *Collector) Histogram(name string) *Histogram {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if h, ok := c.histByNm[name]; ok {
-		return h
-	}
-	h := NewHistogram(name)
-	if c.histByNm == nil {
-		c.histByNm = map[string]*Histogram{}
-	}
-	c.histByNm[name] = h
-	c.hists = append(c.hists, h)
-	return h
 }
 
 // RegisterHistogram attaches an externally owned histogram to the

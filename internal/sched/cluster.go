@@ -106,10 +106,6 @@ func (s *SignatureSessions) Forget(run *kernel.RequestRun) {
 	}
 }
 
-// Tracked reports the number of requests with live session state — zero
-// after a run drains, or the feed leaks.
-func (s *SignatureSessions) Tracked() int { return len(s.states) }
-
 // Cluster returns the bank entry index the request's partial pattern best
 // matches, or -1 while nothing has been observed yet.
 func (s *SignatureSessions) Cluster(run *kernel.RequestRun) int {

@@ -75,7 +75,7 @@ func TestPickEdgeCases(t *testing.T) {
 	ctx := &PolicyContext{Tracker: tk, Threshold: 1, Bank: twoClusterBank()}
 
 	single := []*kernel.Thread{runThread(&kernel.RequestRun{})}
-	for _, f := range PolicyFactories() {
+	for _, f := range policies {
 		pol, err := f.New(ctx)
 		if err != nil {
 			t.Fatalf("%s: %v", f.Name, err)
@@ -237,7 +237,7 @@ func TestPolicyRegistry(t *testing.T) {
 	if got := strings.Join(PolicyNames(), ","); got != want {
 		t.Fatalf("PolicyNames = %s\nwant %s", got, want)
 	}
-	for _, f := range PolicyFactories() {
+	for _, f := range policies {
 		if f.Doc == "" {
 			t.Errorf("%s: empty Doc", f.Name)
 		}
@@ -286,7 +286,7 @@ func TestPolicyRegistry(t *testing.T) {
 	// A full context builds every policy, and the shared monitor/session
 	// state is constructed exactly once across factories.
 	ctx := &PolicyContext{Tracker: tk, Threshold: 1, Bank: twoClusterBank()}
-	for _, f := range PolicyFactories() {
+	for _, f := range policies {
 		pol, err := f.New(ctx)
 		if err != nil || pol == nil {
 			t.Fatalf("%s: %v, %v", f.Name, pol, err)

@@ -172,11 +172,6 @@ var policies = []PolicyFactory{
 	},
 }
 
-// PolicyFactories returns the registry in order (a fresh copy).
-func PolicyFactories() []PolicyFactory {
-	return append([]PolicyFactory(nil), policies...)
-}
-
 // PolicyNames returns the registered policy names in registry order.
 func PolicyNames() []string {
 	names := make([]string, len(policies))

@@ -70,10 +70,6 @@ func (m *Monitor) onPeriod(run *kernel.RequestRun, _ *trace.Request, dur sim.Tim
 // Forget drops a completed request's predictor state.
 func (m *Monitor) Forget(run *kernel.RequestRun) { delete(m.preds, run) }
 
-// Tracked reports the number of requests with live predictor state —
-// zero after a run drains, or the monitor leaks.
-func (m *Monitor) Tracked() int { return len(m.preds) }
-
 // Predicted returns the request's predicted L2 misses per instruction for
 // its coming execution period (0 if never observed).
 func (m *Monitor) Predicted(run *kernel.RequestRun) float64 {

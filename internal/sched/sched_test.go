@@ -99,8 +99,8 @@ func TestMonitorStateDrainsAfterRun(t *testing.T) {
 	if d.Completed() != 8 {
 		t.Fatalf("completed %d/8", d.Completed())
 	}
-	if mon.Tracked() != 0 {
-		t.Fatalf("monitor leaked %d predictor entries after a drained run", mon.Tracked())
+	if len(mon.preds) != 0 {
+		t.Fatalf("monitor leaked %d predictor entries after a drained run", len(mon.preds))
 	}
 }
 
@@ -298,8 +298,8 @@ func TestSignatureSessionsLiveStream(t *testing.T) {
 	if !predicted {
 		t.Fatal("identification never yielded a positive CPU prediction")
 	}
-	if sessions.Tracked() != 0 {
-		t.Fatalf("sessions leaked %d entries after a drained run", sessions.Tracked())
+	if len(sessions.states) != 0 {
+		t.Fatalf("sessions leaked %d entries after a drained run", len(sessions.states))
 	}
 	if pol.Stats.Opportunities == 0 {
 		t.Fatal("policy saw no scheduling opportunities at concurrency 8")

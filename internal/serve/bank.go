@@ -27,6 +27,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/signature"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -150,7 +151,7 @@ func newBankMaintainer(k bankKnobs, tmpl [][]template, apps []workload.StreamApp
 			tm := &tmpl[ai][t]
 			b.bank.Entries = append(b.bank.Entries, signature.Entry{
 				Pattern:   tm.pattern,
-				Average:   meanOf(tm.pattern),
+				Average:   stats.Mean(tm.pattern),
 				CPUTimeNs: tm.cpuNs,
 				Type:      apps[ai].Name,
 			})
@@ -232,7 +233,7 @@ func (b *bankMaintainer) rebuild(medoids []int, pats [][]float64, cpus []float64
 		b.patBufs[c] = append(b.patBufs[c][:0], pats[m]...)
 		b.bank.Entries = append(b.bank.Entries, signature.Entry{
 			Pattern:   b.patBufs[c],
-			Average:   meanOf(b.patBufs[c]),
+			Average:   stats.Mean(b.patBufs[c]),
 			CPUTimeNs: cpus[m],
 			Type:      types[m],
 		})
@@ -275,18 +276,6 @@ func (b *bankMaintainer) calibrate() {
 	b.threshold = anomaly.Calibrate(b.scores, b.knobs.CalibrationQuantile, b.knobs.CalibrationHeadroom)
 	b.recalibrations++
 	b.cRecalibrations.Add(1)
-}
-
-// meanOf returns the arithmetic mean (0 for an empty slice).
-func meanOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
 
 // medianInPlace sorts xs and returns its median (0 for empty) — the

@@ -938,9 +938,6 @@ func (f *Fleet) Queued() int {
 	return q
 }
 
-// Histogram returns the fleet-wide virtual-latency histogram.
-func (f *Fleet) Histogram() *obs.Histogram { return f.fleetHist }
-
 // Result snapshots the run's deterministic outcome.
 func (f *Fleet) Result() FleetResult {
 	r := f.res

@@ -40,12 +40,6 @@ type sessionObs struct {
 // goroutine its own); they are reusable via Reset, and a reused session
 // reaches an allocation-free steady state once its buffers have grown.
 type Session struct {
-	// DisableCascade turns off candidate filtering and early abandoning,
-	// leaving plain incremental accumulation (every entry caught up on
-	// every identification). The result is identical either way; the knob
-	// exists to isolate the cascade's contribution in benchmarks.
-	DisableCascade bool
-
 	m      *Matcher
 	obs    *sessionObs
 	prefix []float64 // buckets observed so far
@@ -201,16 +195,6 @@ func (s *Session) identify() {
 	ne := len(s.m.bank.Entries)
 	if ne == 0 {
 		s.best, s.bestD = -1, math.Inf(1)
-		return
-	}
-	if s.DisableCascade {
-		best, bestD := -1, math.Inf(1)
-		for e := 0; e < ne; e++ {
-			if d := s.catchUp(e); d < bestD {
-				best, bestD = e, d
-			}
-		}
-		s.best, s.bestD = best, bestD
 		return
 	}
 	// Seed the bound with the previous winner: its distance only grew by

@@ -47,9 +47,6 @@ type Event struct {
 	cancelled bool
 }
 
-// At reports the virtual time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
 // Pending reports whether the event is still queued and not cancelled.
 func (e *Event) Pending() bool { return e != nil && e.index >= 0 && !e.cancelled }
 
@@ -110,12 +107,6 @@ func (e *Engine) Cancel(ev *Event) {
 	}
 }
 
-// Reschedule cancels ev and schedules fn at t, returning the new event.
-func (e *Engine) Reschedule(ev *Event, t Time, fn func()) *Event {
-	e.Cancel(ev)
-	return e.At(t, fn)
-}
-
 // Step runs the earliest pending event, advancing the clock to its time.
 // It reports whether an event ran.
 func (e *Engine) Step() bool {
@@ -159,11 +150,6 @@ func (e *Engine) RunAll() {
 
 // Stop halts Run/RunAll after the current event returns.
 func (e *Engine) Stop() { e.stopped = true }
-
-// Pending reports the number of queued events (including cancelled ones not
-// yet reaped — cancellation removes them eagerly so this is exact in
-// practice).
-func (e *Engine) Pending() int { return len(e.queue) }
 
 // Dispatched reports the total number of events executed so far — the
 // observability layer's "events dispatched" counter.
@@ -329,6 +315,3 @@ func (t *Timer) Stop() {
 
 // Pending reports whether the timer is armed and not yet fired.
 func (t *Timer) Pending() bool { return t.ev.Pending() }
-
-// At reports the virtual time of the pending (or last) arming.
-func (t *Timer) At() Time { return t.ev.at }

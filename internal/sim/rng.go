@@ -38,9 +38,6 @@ func ForkLabeled(seed int64, label string) *RNG {
 	return NewRNG(int64(h & math.MaxInt64))
 }
 
-// Float64 returns a uniform value in [0,1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
-
 // Intn returns a uniform integer in [0,n).
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
@@ -78,20 +75,6 @@ func (g *RNG) Exp(mean float64) float64 {
 	return g.r.ExpFloat64() * mean
 }
 
-// Pareto returns a bounded Pareto draw with shape alpha on [lo,hi]. Used for
-// heavy-tailed object sizes (e.g., SPECweb file classes).
-func (g *RNG) Pareto(alpha, lo, hi float64) float64 {
-	u := g.r.Float64()
-	la := math.Pow(lo, alpha)
-	ha := math.Pow(hi, alpha)
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
-}
-
-// LogNormal returns exp(Normal(mu, sigma)).
-func (g *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(g.Normal(mu, sigma))
-}
-
 // Pick returns an index drawn from the discrete distribution given by
 // weights (which need not be normalized). Pick panics if weights is empty or
 // sums to zero.
@@ -112,9 +95,6 @@ func (g *RNG) Pick(weights []float64) int {
 	}
 	return len(weights) - 1
 }
-
-// Perm returns a random permutation of [0,n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
 // Bool returns true with probability p.
 func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }

@@ -33,9 +33,6 @@ type Stage struct {
 	Spread float64
 }
 
-// Length returns the stage's instruction length.
-func (s Stage) Length() float64 { return s.EndIns - s.StartIns }
-
 func (s Stage) String() string {
 	return fmt.Sprintf("[%.0f,%.0f) mean=%.3f sd=%.3f", s.StartIns, s.EndIns, s.Mean, s.Spread)
 }
@@ -87,15 +84,6 @@ func Identify(tr *trace.Request, m metrics.Metric, cfg Config) []Stage {
 		panic("stages: Config.BucketIns must be positive")
 	}
 	values := tr.Resampled(m, cfg.BucketIns)
-	return identifyValues(values, cfg)
-}
-
-// IdentifyValues segments an already-resampled sequence (exposed for
-// synthetic inputs and tests).
-func IdentifyValues(values []float64, cfg Config) []Stage {
-	if cfg.BucketIns <= 0 {
-		cfg.BucketIns = 1
-	}
 	return identifyValues(values, cfg)
 }
 
@@ -192,20 +180,4 @@ func AnnotateAll(tr *trace.Request, primary metrics.Metric, cfg Config) []Annota
 		out[i] = a
 	}
 	return out
-}
-
-// TransitionsNear reports how many identified stage boundaries fall within
-// tol instructions of the given reference positions — used to validate
-// segmentation against known phase programs.
-func TransitionsNear(stages []Stage, refs []float64, tol float64) int {
-	hits := 0
-	for _, r := range refs {
-		for _, s := range stages[1:] { // boundaries are stage starts
-			if math.Abs(s.StartIns-r) <= tol {
-				hits++
-				break
-			}
-		}
-	}
-	return hits
 }

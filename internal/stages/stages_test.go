@@ -23,7 +23,7 @@ func synth(runs ...[2]float64) []float64 {
 
 func TestIdentifyCleanSteps(t *testing.T) {
 	vals := synth([2]float64{10, 1}, [2]float64{10, 5}, [2]float64{10, 2})
-	st := IdentifyValues(vals, Config{BucketIns: 100, MaxStages: 3})
+	st := identifyValues(vals, Config{BucketIns: 100, MaxStages: 3})
 	if len(st) != 3 {
 		t.Fatalf("stages = %d, want 3: %v", len(st), st)
 	}
@@ -50,25 +50,26 @@ func TestIdentifyNoisySteps(t *testing.T) {
 			vals = append(vals, level+r.NormFloat64()*0.1)
 		}
 	}
-	st := IdentifyValues(vals, Config{BucketIns: 1, MaxStages: 3})
+	st := identifyValues(vals, Config{BucketIns: 1, MaxStages: 3})
 	if len(st) != 3 {
 		t.Fatalf("stages = %d, want 3", len(st))
 	}
-	refs := []float64{20, 40}
-	if hits := TransitionsNear(st, refs, 2); hits != 2 {
-		t.Fatalf("recovered %d/2 transitions: %v", hits, st)
+	for i, ref := range []float64{20, 40} {
+		if math.Abs(st[i+1].StartIns-ref) > 2 {
+			t.Fatalf("transition %d at %v, want %v±2: %v", i, st[i+1].StartIns, ref, st)
+		}
 	}
 }
 
 func TestToleranceStopsMerging(t *testing.T) {
 	vals := synth([2]float64{5, 1}, [2]float64{5, 10})
 	// Huge tolerance merges everything.
-	st := IdentifyValues(vals, Config{BucketIns: 1, Tolerance: 10})
+	st := identifyValues(vals, Config{BucketIns: 1, Tolerance: 10})
 	if len(st) != 1 {
 		t.Fatalf("tolerant segmentation = %d stages", len(st))
 	}
 	// Tight tolerance keeps the two levels apart.
-	st = IdentifyValues(vals, Config{BucketIns: 1, Tolerance: 0.05})
+	st = identifyValues(vals, Config{BucketIns: 1, Tolerance: 0.05})
 	if len(st) != 2 {
 		t.Fatalf("tight segmentation = %d stages: %v", len(st), st)
 	}
@@ -76,18 +77,18 @@ func TestToleranceStopsMerging(t *testing.T) {
 
 func TestZeroToleranceMergesEqualsOnly(t *testing.T) {
 	vals := []float64{2, 2, 2, 3, 3}
-	st := IdentifyValues(vals, Config{BucketIns: 1})
+	st := identifyValues(vals, Config{BucketIns: 1})
 	if len(st) != 2 {
 		t.Fatalf("stages = %d, want 2", len(st))
 	}
 }
 
 func TestEmptyAndSingle(t *testing.T) {
-	if st := IdentifyValues(nil, Config{BucketIns: 1}); st != nil {
+	if st := identifyValues(nil, Config{BucketIns: 1}); st != nil {
 		t.Fatal("empty input should yield nil")
 	}
-	st := IdentifyValues([]float64{7}, Config{BucketIns: 100})
-	if len(st) != 1 || st[0].Mean != 7 || st[0].Length() != 100 {
+	st := identifyValues([]float64{7}, Config{BucketIns: 100})
+	if len(st) != 1 || st[0].Mean != 7 || st[0].EndIns-st[0].StartIns != 100 {
 		t.Fatalf("single bucket = %+v", st)
 	}
 }
@@ -101,7 +102,7 @@ func TestStagesPartitionProperty(t *testing.T) {
 			vals[i] = r.Float64() * 4
 		}
 		k := 1 + r.Intn(6)
-		st := IdentifyValues(vals, Config{BucketIns: 10, MaxStages: k, Tolerance: 0.2})
+		st := identifyValues(vals, Config{BucketIns: 10, MaxStages: k, Tolerance: 0.2})
 		if len(st) == 0 {
 			return false
 		}
@@ -117,8 +118,8 @@ func TestStagesPartitionProperty(t *testing.T) {
 		// Length-weighted stage means preserve the global mean.
 		var got, total float64
 		for _, s := range st {
-			got += s.Mean * s.Length()
-			total += s.Length()
+			got += s.Mean * (s.EndIns - s.StartIns)
+			total += s.EndIns - s.StartIns
 		}
 		var want float64
 		for _, v := range vals {
@@ -139,7 +140,7 @@ func TestMaxStagesRespectedProperty(t *testing.T) {
 			vals[i] = r.Float64()
 		}
 		k := 1 + r.Intn(5)
-		st := IdentifyValues(vals, Config{BucketIns: 1, MaxStages: k, Tolerance: 5})
+		st := identifyValues(vals, Config{BucketIns: 1, MaxStages: k, Tolerance: 5})
 		return len(st) <= k
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

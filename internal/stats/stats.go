@@ -1,7 +1,6 @@
 // Package stats implements the statistical machinery the paper's analyses
 // rely on: weighted coefficient of variation (Equation 1), weighted root
-// mean square error (Equation 7), percentiles, histograms, and cumulative
-// distribution summaries.
+// mean square error (Equation 7), percentiles, and histograms.
 package stats
 
 import (
@@ -33,24 +32,6 @@ func StdDev(xs []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(xs)))
-}
-
-// MeanStd returns both the mean and population standard deviation in one
-// pass over xs.
-func MeanStd(xs []float64) (mean, std float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	mean = Mean(xs)
-	if len(xs) < 2 {
-		return mean, 0
-	}
-	var s float64
-	for _, x := range xs {
-		d := x - mean
-		s += d * d
-	}
-	return mean, math.Sqrt(s / float64(len(xs)))
 }
 
 // WeightedMean returns sum(w_i * x_i) / sum(w_i). Weights must be
@@ -131,21 +112,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return percentileSorted(sorted, p)
 }
 
-// PercentilesOf computes several percentiles with a single sort.
-func PercentilesOf(xs []float64, ps ...float64) []float64 {
-	out := make([]float64, len(ps))
-	if len(xs) == 0 {
-		return out
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	for i, p := range ps {
-		out[i] = percentileSorted(sorted, p)
-	}
-	return out
-}
-
 func percentileSorted(sorted []float64, p float64) float64 {
 	if p <= 0 {
 		return sorted[0]
@@ -165,20 +131,6 @@ func percentileSorted(sorted []float64, p float64) float64 {
 
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
-// Min returns the smallest element of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
 
 // Max returns the largest element of xs, or 0 for an empty slice.
 func Max(xs []float64) float64 {
@@ -241,56 +193,6 @@ func (h *Histogram) Prob() []float64 {
 	}
 	for i, c := range h.Counts {
 		out[i] = float64(c) / float64(h.N)
-	}
-	return out
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.Width
-}
-
-// CDFPoint is one (x, cumulative probability) pair of an empirical CDF.
-type CDFPoint struct {
-	X float64
-	P float64
-}
-
-// CDFAt returns the empirical cumulative probability P(X <= x) over xs.
-func CDFAt(xs []float64, x float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range xs {
-		if v <= x {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
-}
-
-// CDF evaluates the empirical CDF of xs at each point in at, sharing one
-// sort across all evaluation points.
-func CDF(xs []float64, at []float64) []CDFPoint {
-	out := make([]CDFPoint, len(at))
-	if len(xs) == 0 {
-		for i, x := range at {
-			out[i] = CDFPoint{X: x}
-		}
-		return out
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	for i, x := range at {
-		idx := sort.SearchFloat64s(sorted, x)
-		// SearchFloat64s returns the first index >= x; walk forward over
-		// equal values to count them as <= x.
-		for idx < len(sorted) && sorted[idx] <= x {
-			idx++
-		}
-		out[i] = CDFPoint{X: x, P: float64(idx) / float64(len(sorted))}
 	}
 	return out
 }

@@ -17,10 +17,6 @@ func TestMeanStdDev(t *testing.T) {
 	if s := StdDev(xs); !almost(s, 2, 1e-12) {
 		t.Fatalf("StdDev = %v, want 2", s)
 	}
-	m, s := MeanStd(xs)
-	if !almost(m, 5, 1e-12) || !almost(s, 2, 1e-12) {
-		t.Fatalf("MeanStd = %v, %v", m, s)
-	}
 	if Mean(nil) != 0 || StdDev(nil) != 0 {
 		t.Fatal("empty-slice mean/std should be 0")
 	}
@@ -126,21 +122,6 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestPercentilesOfMatchesSingle(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = r.Float64() * 100
-	}
-	ps := []float64{10, 50, 90, 99}
-	multi := PercentilesOf(xs, ps...)
-	for i, p := range ps {
-		if single := Percentile(xs, p); !almost(single, multi[i], 1e-12) {
-			t.Fatalf("PercentilesOf[%v] = %v, single = %v", p, multi[i], single)
-		}
-	}
-}
-
 func TestPercentileMonotoneProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -165,8 +146,8 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 
 func TestMinMaxMedian(t *testing.T) {
 	xs := []float64{5, 1, 9, 3}
-	if Min(xs) != 1 || Max(xs) != 9 {
-		t.Fatalf("Min/Max = %v/%v", Min(xs), Max(xs))
+	if Max(xs) != 9 || Max(nil) != 0 {
+		t.Fatalf("Max = %v, Max(nil) = %v", Max(xs), Max(nil))
 	}
 	if got := Median([]float64{1, 2, 3}); got != 2 {
 		t.Fatalf("Median = %v", got)
@@ -188,9 +169,6 @@ func TestHistogram(t *testing.T) {
 	if !almost(probs[1], 0.4, 1e-12) {
 		t.Fatalf("Prob[1] = %v, want 0.4", probs[1])
 	}
-	if c := h.BinCenter(0); !almost(c, 1.05, 1e-12) {
-		t.Fatalf("BinCenter(0) = %v", c)
-	}
 }
 
 func TestHistogramProbSumsToAtMostOne(t *testing.T) {
@@ -205,46 +183,6 @@ func TestHistogramProbSumsToAtMostOne(t *testing.T) {
 			sum += p
 		}
 		return sum <= 1+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCDF(t *testing.T) {
-	xs := []float64{1, 2, 2, 3}
-	pts := CDF(xs, []float64{0, 1, 2, 3, 4})
-	want := []float64{0, 0.25, 0.75, 1, 1}
-	for i, p := range pts {
-		if !almost(p.P, want[i], 1e-12) {
-			t.Fatalf("CDF at %v = %v, want %v", p.X, p.P, want[i])
-		}
-	}
-	if got := CDFAt(xs, 2); !almost(got, 0.75, 1e-12) {
-		t.Fatalf("CDFAt(2) = %v", got)
-	}
-	if got := CDFAt(nil, 2); got != 0 {
-		t.Fatalf("CDFAt on empty = %v", got)
-	}
-}
-
-func TestCDFMonotoneProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		xs := make([]float64, 1+r.Intn(40))
-		for i := range xs {
-			xs[i] = r.Float64() * 10
-		}
-		at := []float64{0, 1, 2, 4, 6, 8, 10}
-		pts := CDF(xs, at)
-		prev := 0.0
-		for _, p := range pts {
-			if p.P < prev || p.P > 1 {
-				return false
-			}
-			prev = p.P
-		}
-		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -61,15 +61,6 @@ func (s *Series) Append(length, value float64) {
 // Len reports the number of periods.
 func (s *Series) Len() int { return len(s.Points) }
 
-// TotalLen reports the sum of period lengths (total instructions or time).
-func (s *Series) TotalLen() float64 {
-	var t float64
-	for _, p := range s.Points {
-		t += p.Len
-	}
-	return t
-}
-
 // Values returns the period values.
 func (s *Series) Values() []float64 {
 	out := make([]float64, len(s.Points))
@@ -196,13 +187,5 @@ func (s *Series) Prefix(length float64) *Series {
 		out.Append(take, p.Value)
 		cum += take
 	}
-	return out
-}
-
-// Clone returns a deep copy.
-func (s *Series) Clone() *Series {
-	out := New(s.Unit)
-	out.Points = make([]Point, len(s.Points))
-	copy(out.Points, s.Points)
 	return out
 }

@@ -16,7 +16,7 @@ func benchSeries(n int) *Series {
 
 func BenchmarkResample(b *testing.B) {
 	s := benchSeries(1000)
-	period := s.TotalLen() / 50
+	period := totalLen(s) / 50
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Resample(period)

@@ -7,6 +7,15 @@ import (
 	"testing/quick"
 )
 
+// totalLen is the sum of s's period lengths.
+func totalLen(s *Series) float64 {
+	var t float64
+	for _, p := range s.Points {
+		t += p.Len
+	}
+	return t
+}
+
 func almost(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
 func build(pts ...[2]float64) *Series {
@@ -29,7 +38,7 @@ func TestAppendDropsZeroLength(t *testing.T) {
 
 func TestTotalLenAndValues(t *testing.T) {
 	s := build([2]float64{10, 1}, [2]float64{20, 2})
-	if got := s.TotalLen(); got != 30 {
+	if got := totalLen(s); got != 30 {
 		t.Fatalf("TotalLen = %v", got)
 	}
 	v := s.Values()
@@ -135,7 +144,7 @@ func TestResamplePreservesWeightedMeanProperty(t *testing.T) {
 		for i := 0; i < 5+r.Intn(30); i++ {
 			s.Append(1+r.Float64()*100, r.Float64()*5)
 		}
-		period := s.TotalLen() / float64(3+r.Intn(10))
+		period := totalLen(s) / float64(3+r.Intn(10))
 		vals := s.Resample(period)
 		if len(vals) == 0 {
 			return false
@@ -192,24 +201,15 @@ func TestPrefix(t *testing.T) {
 	if p.Len() != 2 {
 		t.Fatalf("Prefix len = %d", p.Len())
 	}
-	if p.TotalLen() != 15 {
-		t.Fatalf("Prefix TotalLen = %v", p.TotalLen())
+	if totalLen(p) != 15 {
+		t.Fatalf("Prefix length = %v", totalLen(p))
 	}
 	if p.Points[1].Len != 5 || p.Points[1].Value != 2 {
 		t.Fatalf("Prefix truncation wrong: %+v", p.Points[1])
 	}
 	// Prefix longer than series returns everything.
-	if got := s.Prefix(1e9).TotalLen(); got != 30 {
-		t.Fatalf("long Prefix TotalLen = %v", got)
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	s := build([2]float64{10, 1})
-	c := s.Clone()
-	c.Points[0].Value = 99
-	if s.Points[0].Value != 1 {
-		t.Fatal("Clone shares storage with original")
+	if got := totalLen(s.Prefix(1e9)); got != 30 {
+		t.Fatalf("long Prefix length = %v", got)
 	}
 }
 

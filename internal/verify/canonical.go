@@ -12,8 +12,8 @@
 //     GOMAXPROCS settings — and reports the first divergent field of any
 //     cell that drifted.
 //
-//   - Differential checks: Differentials pairs each fast path with its
-//     reference oracle over seeded random inputs (see differential.go).
+//   - Differential checks: differential.go pairs each fast path with its
+//     reference oracle over seeded random inputs.
 //
 //   - Fuzzing: native Go fuzz targets stress the same equivalences plus
 //     the canonicalization itself (see fuzz_test.go).
@@ -68,18 +68,9 @@ func Canonicalize(v any) ([]Line, error) {
 	return c.lines, nil
 }
 
-// Fingerprint hashes a value's canonical serialization into a short stable
+// FingerprintLines hashes a canonical line stream into a short stable
 // identifier ("sha256:" + first 16 hash bytes, hex). Two values fingerprint
 // equally exactly when their canonical lines are identical.
-func Fingerprint(v any) (string, error) {
-	lines, err := Canonicalize(v)
-	if err != nil {
-		return "", err
-	}
-	return FingerprintLines(lines), nil
-}
-
-// FingerprintLines hashes an already-canonicalized line stream.
 func FingerprintLines(lines []Line) string {
 	h := sha256.New()
 	for _, l := range lines {

@@ -22,14 +22,13 @@ type Differential struct {
 	Check func(seed int64) error
 }
 
-// Differentials pairs every fast path in the repository with its reference
+// differentials pairs every fast path in the repository with its reference
 // oracle. The suite is the authoritative list — tests range over it, so a
 // new fast path earns continuous differential coverage by adding one entry
 // here.
-func Differentials() []Differential {
+func differentials() []Differential {
 	return []Differential{
 		{Name: "matrix/parallel-vs-serial", Check: checkMatrixParallel},
-		{Name: "dtw/banded-vs-exact", Check: checkDTWBand},
 		{Name: "dtw/blocked-vs-reference", Check: checkDTWBlocked},
 		{Name: "signature/session-vs-naive", Check: checkSessionNaive},
 		{Name: "signature/reused-session-vs-naive", Check: checkReusedSessionNaive},
@@ -88,36 +87,7 @@ func checkMatrixParallel(seed int64) error {
 	return nil
 }
 
-// checkDTWBand: a Sakoe-Chiba band covering the whole DP grid must be
-// bit-identical to the unconstrained distance, for every pair of a small
-// random population (empty sequences included — their early returns bypass
-// the band entirely and must stay consistent).
-func checkDTWBand(seed int64) error {
-	r := rand.New(rand.NewSource(seed))
-	pool := make([][]float64, 8)
-	for i := range pool {
-		pool[i] = randSeq(r, r.Intn(30)) // Intn(30) can be 0: empty sequence
-	}
-	penalty := r.Float64()
-	exact := distance.DTW{AsyncPenalty: penalty}
-	for i := range pool {
-		for j := range pool {
-			x, y := pool[i], pool[j]
-			m := len(x)
-			if len(y) > m {
-				m = len(y)
-			}
-			full := distance.DTW{AsyncPenalty: penalty, Window: m} // ≥ max(m,n)−1: covers the grid
-			e, b := exact.Distance(x, y), full.Distance(x, y)
-			if math.Float64bits(e) != math.Float64bits(b) {
-				return fmt.Errorf("pair (%d,%d) len (%d,%d): exact %v, full-band %v", i, j, len(x), len(y), e, b)
-			}
-		}
-	}
-	return nil
-}
-
-// referenceDTW is the unbanded DTW distance computed one DP row at a time,
+// referenceDTW is the DTW distance computed one DP row at a time,
 // the plain form of Equation 3 with the asynchrony penalty: each cell waits
 // on its left neighbour. distance.DTW fills several rows per sweep instead;
 // this loop is the oracle it must match bit for bit. Both inputs must be
@@ -167,7 +137,7 @@ func checkDTWBlocked(seed int64) error {
 		for i, x := range pool {
 			for j, y := range pool {
 				if len(x) == 0 || len(y) == 0 {
-					continue // early returns, covered by dtw/banded-vs-exact
+					continue // early returns, covered by the distance package's tests
 				}
 				got, want := d.Distance(x, y), referenceDTW(x, y, penalty)
 				if math.Float64bits(got) != math.Float64bits(want) {

@@ -22,7 +22,7 @@ func TestDifferentials(t *testing.T) {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
 			prev := runtime.GOMAXPROCS(procs)
 			defer runtime.GOMAXPROCS(prev)
-			for _, d := range Differentials() {
+			for _, d := range differentials() {
 				t.Run(d.Name, func(t *testing.T) {
 					errs := make([]error, differentialSeeds)
 					var wg sync.WaitGroup
@@ -50,7 +50,6 @@ func TestDifferentials(t *testing.T) {
 func TestDifferentialNamesAreStable(t *testing.T) {
 	want := map[string]bool{
 		"matrix/parallel-vs-serial":            true,
-		"dtw/banded-vs-exact":                  true,
 		"dtw/blocked-vs-reference":             true,
 		"signature/session-vs-naive":           true,
 		"signature/reused-session-vs-naive":    true,
@@ -61,7 +60,7 @@ func TestDifferentialNamesAreStable(t *testing.T) {
 		"signature/pattern-matrix-vs-pairwise": true,
 		"cluster/kmedoids-vs-reference":        true,
 	}
-	got := Differentials()
+	got := differentials()
 	if len(got) < len(want) {
 		t.Fatalf("differential suite shrank: %d checks", len(got))
 	}

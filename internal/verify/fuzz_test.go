@@ -54,16 +54,13 @@ func fuzzSignedSeq(data []byte, maxLen int) []float64 {
 	return s
 }
 
-// FuzzDTW checks DTW invariants for arbitrary sequences, penalties, and
-// band widths: the row-blocked exact kernel is bit-identical to the
-// row-at-a-time reference; a band covering the grid is bit-identical to
-// the exact distance; and the distance is symmetric. Bit-identical is
-// checked with sameFloat, so NaN results need only both be NaN. The top bit
-// of window selects the signed decode, whose sequences hold negative
-// values, ±Inf and NaN and whose penalty may be negative. On the default
-// non-negative decode it also checks that any band is an upper bound on
-// the exact distance (paths are only forbidden, never added); with NaN or
-// infinite inputs that order is not defined.
+// FuzzDTW checks DTW invariants for arbitrary sequences and penalties: the
+// row-blocked kernel is bit-identical to the row-at-a-time reference, and
+// the distance is symmetric. Bit-identical is checked with sameFloat, so
+// NaN results need only both be NaN. The top bit of window selects the
+// signed decode, whose sequences hold negative values, ±Inf and NaN and
+// whose penalty may be negative. Its low bits once set a warp-band width
+// and are now unused; the argument stays so the committed corpus decodes.
 func FuzzDTW(f *testing.F) {
 	f.Add([]byte{0, 16, 32}, []byte{32, 16, 0}, uint8(1), uint8(8))
 	f.Add([]byte{}, []byte{200, 3}, uint8(0), uint8(0))
@@ -85,20 +82,6 @@ func FuzzDTW(f *testing.F) {
 		if len(x) > 0 && len(y) > 0 {
 			if r := referenceDTW(x, y, pen); !sameFloat(r, e) {
 				t.Fatalf("blocked %v != reference %v (len %d,%d)", e, r, len(x), len(y))
-			}
-		}
-		m := len(x)
-		if len(y) > m {
-			m = len(y)
-		}
-		full := distance.DTW{AsyncPenalty: pen, Window: m + 1}
-		if fb := full.Distance(x, y); !sameFloat(fb, e) {
-			t.Fatalf("full band (w=%d) %v != exact %v (len %d,%d)", m+1, fb, e, len(x), len(y))
-		}
-		if w := int(window); w > 0 && !signed {
-			banded := distance.DTW{AsyncPenalty: pen, Window: w}
-			if b := banded.Distance(x, y); b < e {
-				t.Fatalf("band w=%d produced %v below the unconstrained %v", w, b, e)
 			}
 		}
 		if s := exact.Distance(y, x); !sameFloat(s, e) {
@@ -232,18 +215,18 @@ func FuzzFingerprintStability(f *testing.F) {
 		for i := len(keys) - 1; i >= 0; i-- {
 			rev[keys[i]] = fwd[keys[i]]
 		}
-		fa, err := Fingerprint(fwd)
+		fa, err := fingerprint(fwd)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fb, err := Fingerprint(rev)
+		fb, err := fingerprint(rev)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fa != fb {
 			t.Fatalf("map insertion order changed fingerprint: %s vs %s", fa, fb)
 		}
-		again, err := Fingerprint(fwd)
+		again, err := fingerprint(fwd)
 		if err != nil {
 			t.Fatal(err)
 		}

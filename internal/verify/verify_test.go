@@ -6,6 +6,15 @@ import (
 	"testing"
 )
 
+// fingerprint hashes v's canonical serialization.
+func fingerprint(v any) (string, error) {
+	lines, err := Canonicalize(v)
+	if err != nil {
+		return "", err
+	}
+	return FingerprintLines(lines), nil
+}
+
 type sample struct {
 	Name   string
 	Values []float64
@@ -57,11 +66,11 @@ func TestCanonicalizeMapOrderIndependent(t *testing.T) {
 	for i := len(keys) - 1; i >= 0; i-- {
 		b[keys[i]] = float64(i)
 	}
-	fa, err := Fingerprint(a)
+	fa, err := fingerprint(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := Fingerprint(b)
+	fb, err := fingerprint(b)
 	if err != nil {
 		t.Fatal(err)
 	}

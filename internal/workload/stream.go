@@ -363,9 +363,6 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 	return s, nil
 }
 
-// Config returns the stream's validated config.
-func (s *Stream) Config() StreamConfig { return s.cfg }
-
 // RateAt returns the instantaneous arrival rate (requests per virtual
 // second) at virtual time t: the base rate under sinusoidal modulation
 // (clamped at 5% of base so the stream never stalls) times any active

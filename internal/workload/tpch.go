@@ -73,15 +73,6 @@ var tpchQueries = []tpchQuery{
 	{name: "Q22", megaIns: 35, scanCPI: 1.7, scanRefs: 0.034, scanMiss: 0.13, scanWS: 6 << 20, aggregate: true},
 }
 
-// TPCHQueryNames returns the 17 query names in order.
-func TPCHQueryNames() []string {
-	out := make([]string, len(tpchQueries))
-	for i, q := range tpchQueries {
-		out[i] = q.name
-	}
-	return out
-}
-
 // Within-phase system call patterns, shared by every request.
 var (
 	tpchPlanCalls = []trace.Syscall{trace.SysPread, trace.SysStat}

@@ -81,17 +81,6 @@ func (r *Request) TotalInstructions() float64 {
 	return t
 }
 
-// MaxTier returns the highest tier any phase runs on.
-func (r *Request) MaxTier() int {
-	max := 0
-	for _, p := range r.Phases {
-		if p.Tier > max {
-			max = p.Tier
-		}
-	}
-	return max
-}
-
 func (r *Request) String() string {
 	return fmt.Sprintf("%s/%s#%d", r.App, r.Type, r.ID)
 }
