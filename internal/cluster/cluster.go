@@ -96,6 +96,10 @@ type Scratch struct {
 	rows    [][]float64 // rows[i] is dm.Row(i)
 }
 
+// abandonEvery is how many members the medoid update adds to a
+// candidate's sum between checks of its bound.
+const abandonEvery = 16
+
 // KMedoids is KMedoidsMatrix running in pooled storage. Results are bit
 // identical to KMedoidsMatrix for the same matrix and config: the
 // iteration visits candidates in the same order (the member grouping is a
@@ -120,8 +124,10 @@ func (sc *Scratch) KMedoids(dm *distance.Matrix, cfg Config) *Result {
 		sc.rows = make([][]float64, n)
 	}
 	sc.rows = sc.rows[:n]
+	nonNeg := true
 	for i := range sc.rows {
 		sc.rows[i] = dm.Row(i)
+		nonNeg = nonNeg && !hasNegative(sc.rows[i])
 	}
 
 	// Initialization: greedy k-means++-style spread using a seeded stream —
@@ -224,20 +230,15 @@ func (sc *Scratch) KMedoids(dm *distance.Matrix, cfg Config) *Result {
 				if cand != medoids[c] && containsInt(medoids, cand) {
 					continue
 				}
-				// Members ascend, so the earlier ones sit in their own
-				// rows and the later ones in cand's row. cand's own
-				// diagonal term is +0, which leaves sum unchanged: sum
-				// starts at +0 and a round-to-nearest sum is −0 only when
-				// both addends are.
-				var sum float64
-				for _, other := range members[:ci] {
-					sum += sc.rows[other][cand-other-1]
+				// With no negative cell a candidate whose partial sum
+				// reaches bestSum cannot end strictly below it, so its
+				// sum may stop there. A +Inf partial sum ends +Inf or
+				// NaN whatever the signs, so +Inf is always a safe bound.
+				bound := math.Inf(1)
+				if nonNeg {
+					bound = bestSum
 				}
-				row := sc.rows[cand]
-				for _, other := range members[ci+1:] {
-					sum += row[other-cand-1]
-				}
-				if sum < bestSum {
+				if sum := sc.memberSum(members, ci, bound); sum < bestSum {
 					best, bestSum = cand, sum
 				}
 			}
@@ -252,6 +253,45 @@ func (sc *Scratch) KMedoids(dm *distance.Matrix, cfg Config) *Result {
 	}
 	res.Medoids = medoids
 	return res
+}
+
+// memberSum returns the sum of distances from cand = members[ci] to every
+// other member, or, once a partial sum reaches bound, that partial sum
+// (then ≥ bound). Members ascend, so the earlier ones sit in their own rows
+// and the later ones in cand's row. cand's own diagonal term is +0, which
+// leaves the sum unchanged: the sum starts at +0 and a round-to-nearest
+// sum is −0 only when both addends are.
+func (sc *Scratch) memberSum(members []int, ci int, bound float64) float64 {
+	cand := members[ci]
+	var sum float64
+	for lo := 0; lo < ci; lo += abandonEvery {
+		for _, other := range members[lo:min(lo+abandonEvery, ci)] {
+			sum += sc.rows[other][cand-other-1]
+		}
+		if sum >= bound {
+			return sum
+		}
+	}
+	row := sc.rows[cand]
+	for lo := ci + 1; lo < len(members); lo += abandonEvery {
+		for _, other := range members[lo:min(lo+abandonEvery, len(members))] {
+			sum += row[other-cand-1]
+		}
+		if sum >= bound {
+			return sum
+		}
+	}
+	return sum
+}
+
+// hasNegative reports whether any cell is below zero (NaN is not).
+func hasNegative(cells []float64) bool {
+	for _, v := range cells {
+		if v < 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // growInts returns s resized to length n, reallocating only when the

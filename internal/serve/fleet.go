@@ -275,15 +275,47 @@ type fleetReq struct {
 	degraded  bool
 }
 
-// fleetCore is one core's FIFO queue plus its tick-rate snapshot.
+// fleetCore is one core's FIFO queue plus its tick-rate snapshot. The
+// queue is a ring of exactly QueueCap slots: q[head] is the oldest request
+// and n requests are queued, so admitting one and retiring a completed
+// prefix move no request.
 type fleetCore struct {
-	q     []fleetReq
+	q     []fleetReq // ring storage, len(q) == QueueCap
+	head  int
+	n     int
 	pkg   int     // index into Fleet.pkgs
 	scale float64 // static topology frequency scale
 	// Tick-start snapshot (serial phase): effective CPI of the occupant
 	// set and the resulting instruction rate. Zero insPerNs means idle.
 	cpi      float64
 	insPerNs float64
+}
+
+// at returns queued request i, i ∈ [0, n), oldest first.
+func (c *fleetCore) at(i int) *fleetReq {
+	i += c.head
+	if i >= len(c.q) {
+		i -= len(c.q)
+	}
+	return &c.q[i]
+}
+
+// full reports whether the ring holds QueueCap requests.
+func (c *fleetCore) full() bool { return c.n == len(c.q) }
+
+// push appends r at the tail; the caller checks full first.
+func (c *fleetCore) push(r fleetReq) {
+	c.n++
+	*c.at(c.n - 1) = r
+}
+
+// drop retires the k oldest requests.
+func (c *fleetCore) drop(k int) {
+	c.head += k
+	if c.head >= len(c.q) {
+		c.head -= len(c.q)
+	}
+	c.n -= k
 }
 
 // pkgTally is one package's per-tick outcome, folded into its node and
@@ -436,7 +468,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			for j := 0; j < ps.Cores; j++ {
 				pkg.cores = append(pkg.cores, len(n.cores))
 				n.cores = append(n.cores, fleetCore{
-					q:     make([]fleetReq, 0, cfg.QueueCap),
+					q:     make([]fleetReq, cfg.QueueCap),
 					pkg:   len(f.pkgs),
 					scale: ps.FreqScale,
 				})
@@ -583,24 +615,24 @@ func (f *Fleet) ingest(tickEnd int64) int {
 		node, core := f.place(&r)
 		nd := f.nodes[node]
 		c := &nd.cores[core]
-		if len(c.q) == cap(c.q) {
+		if c.full() {
 			f.res.Shed++
 			nd.res.Shed++
 			f.cShed.Add(1)
 			continue
 		}
-		if len(c.q) >= f.cfg.DegradeDepth {
+		if c.n >= f.cfg.DegradeDepth {
 			r.degraded = true
 			f.res.Degraded++
 			nd.res.Degraded++
 			f.cDegraded.Add(1)
 		}
-		c.q = append(c.q, r)
+		c.push(r)
 		if r.predHigh {
 			f.pkgs[c.pkg].queuedHigh++
 		}
-		if len(c.q) > nd.res.MaxQueueDepth {
-			nd.res.MaxQueueDepth = len(c.q)
+		if c.n > nd.res.MaxQueueDepth {
+			nd.res.MaxQueueDepth = c.n
 		}
 	}
 }
@@ -646,7 +678,7 @@ func (f *Fleet) updateScale() {
 func (f *Fleet) nodeIdle(ni int) bool {
 	nd := f.nodes[ni]
 	for i := range nd.cores {
-		if len(nd.cores[i].q) > 0 {
+		if nd.cores[i].n > 0 {
 			return false
 		}
 	}
@@ -678,7 +710,7 @@ func (f *Fleet) place(r *fleetReq) (node, core int) {
 		bestNode, bestCore, best := 0, 0, int(^uint(0)>>1)
 		for ni, nd := range f.nodes[:f.active] {
 			for ci := range nd.cores {
-				if l := len(nd.cores[ci].q); l < best {
+				if l := nd.cores[ci].n; l < best {
 					best, bestNode, bestCore = l, ni, ci
 				}
 			}
@@ -691,7 +723,7 @@ func (f *Fleet) place(r *fleetReq) (node, core int) {
 	nd := f.nodes[node]
 	core = 0
 	for ci := 1; ci < len(nd.cores); ci++ {
-		if len(nd.cores[ci].q) < len(nd.cores[core].q) {
+		if nd.cores[ci].n < nd.cores[core].n {
 			core = ci
 		}
 	}
@@ -703,7 +735,7 @@ func (f *Fleet) place(r *fleetReq) (node, core int) {
 func shortestCore(nd *fleetNode, cores []int) int {
 	best := cores[0]
 	for _, ci := range cores[1:] {
-		if len(nd.cores[ci].q) < len(nd.cores[best].q) {
+		if nd.cores[ci].n < nd.cores[best].n {
 			best = ci
 		}
 	}
@@ -720,11 +752,11 @@ func (f *Fleet) snapshotRates() {
 			pkg := f.pkgs[pi]
 			for j, ci := range pkg.cores {
 				c := &nd.cores[ci]
-				if len(c.q) == 0 {
+				if c.n == 0 {
 					pkg.demands[j] = nil
 					continue
 				}
-				r := &c.q[0]
+				r := &c.q[c.head]
 				tm := &f.tmpl[r.app][r.tmpl]
 				d := tm.demand
 				d.RefsPerIns *= r.drift
@@ -757,7 +789,7 @@ func (f *Fleet) snapshotRates() {
 					c.cpi, c.insPerNs = 0, 0
 					continue
 				}
-				r := &c.q[0]
+				r := &c.q[c.head]
 				tm := &f.tmpl[r.app][r.tmpl]
 				cpi := cache.CPI(pkg.cacheCfg, tm.baseCPI, pkg.demands[j].RefsPerIns, pkg.miss[j], penalty)
 				c.cpi = cpi
@@ -775,13 +807,13 @@ func (f *Fleet) processPkg(pkg *fleetPkg) {
 	nd := f.nodes[pkg.node]
 	for _, ci := range pkg.cores {
 		c := &nd.cores[ci]
-		if c.insPerNs == 0 || len(c.q) == 0 {
+		if c.insPerNs == 0 || c.n == 0 {
 			continue
 		}
 		budget := float64(f.cfg.TickNs)
 		done := 0
-		for ; done < len(c.q); done++ {
-			r := &c.q[done]
+		for ; done < c.n; done++ {
+			r := c.at(done)
 			if r.degraded {
 				// Cached-template serving: a constant drain cost, no
 				// instruction execution and no CPI contribution.
@@ -808,7 +840,7 @@ func (f *Fleet) processPkg(pkg *fleetPkg) {
 		}
 		// The sweep stops at the first request it cannot finish, so the
 		// completed requests are exactly the first done.
-		c.q = c.q[:copy(c.q, c.q[done:])]
+		c.drop(done)
 	}
 }
 
@@ -932,7 +964,7 @@ func (f *Fleet) Queued() int {
 	var q int
 	for _, n := range f.nodes {
 		for i := range n.cores {
-			q += len(n.cores[i].q)
+			q += n.cores[i].n
 		}
 	}
 	return q

@@ -267,3 +267,104 @@ func TestFleetSingleNodeDegenerate(t *testing.T) {
 		t.Fatalf("single-node fleet broken: %+v", res)
 	}
 }
+
+// TestFleetCoreRing: a core queue is a ring of exactly QueueCap slots. It
+// is full at exactly QueueCap requests, keeps FIFO order while the head
+// wraps past the end of its storage, and retiring a prefix frees exactly
+// that many slots.
+func TestFleetCoreRing(t *testing.T) {
+	const capacity = 5
+	c := fleetCore{q: make([]fleetReq, capacity)}
+	var next, oldest uint64 // ids pushed so far; id of the queue head
+	push := func(k int) {
+		t.Helper()
+		for ; k > 0; k-- {
+			if c.full() {
+				t.Fatalf("full at %d of %d requests", c.n, capacity)
+			}
+			c.push(fleetReq{id: next})
+			next++
+		}
+	}
+	check := func() {
+		t.Helper()
+		for i := 0; i < c.n; i++ {
+			if got := c.at(i).id; got != oldest+uint64(i) {
+				t.Fatalf("head %d, slot %d holds request %d, want %d", c.head, i, got, oldest+uint64(i))
+			}
+		}
+	}
+	for round, step := range []struct{ push, drop int }{
+		{3, 2}, {4, 3}, {3, 5}, {5, 1}, {1, 4}, {3, 0}, {0, 4}, {5, 5},
+	} {
+		push(step.push)
+		check()
+		if want := c.n == capacity; c.full() != want {
+			t.Fatalf("round %d: full() = %v with %d of %d queued", round, c.full(), c.n, capacity)
+		}
+		c.drop(step.drop)
+		oldest += uint64(step.drop)
+		check()
+		if c.head < 0 || c.head >= capacity {
+			t.Fatalf("round %d: head %d outside [0, %d)", round, c.head, capacity)
+		}
+	}
+	if next <= 2*capacity {
+		t.Fatalf("only %d requests passed through, the head never wrapped twice", next)
+	}
+}
+
+// TestFleetTinyQueuesWrap: with eight-slot core queues every core's ring
+// wraps many times and arrivals shed at the cap. Admission accounting
+// holds after every tick (every arrival is completed, shed or still
+// queued), and the run reproduces exactly.
+func TestFleetTinyQueuesWrap(t *testing.T) {
+	cfg := smallFleetConfig(23)
+	cfg.QueueCap, cfg.DegradeDepth = 8, 6
+	run := func() FleetResult {
+		f, err := NewFleet(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cores []*fleetCore
+		for _, nd := range f.nodes {
+			for i := range nd.cores {
+				cores = append(cores, &nd.cores[i])
+			}
+		}
+		wrapped := make([]bool, len(cores))
+		heads := make([]int, len(cores))
+		var ingested int
+		for ingested < 30_000 {
+			ingested += f.runTick(true)
+			r := f.res
+			if r.Arrivals != r.Completed+r.Shed+uint64(f.Queued()) {
+				t.Fatalf("tick %d: %d arrivals != %d completed + %d shed + %d queued",
+					f.tick, r.Arrivals, r.Completed, r.Shed, f.Queued())
+			}
+			for i, c := range cores {
+				wrapped[i] = wrapped[i] || c.head < heads[i]
+				heads[i] = c.head
+			}
+		}
+		for i, w := range wrapped {
+			if !w {
+				t.Fatalf("core %d's ring never wrapped", i)
+			}
+		}
+		f.Drain()
+		return f.Result()
+	}
+	a := run()
+	if a.Shed == 0 || a.Degraded == 0 || a.Queued != 0 {
+		t.Fatalf("tiny queues should shed and degrade, then drain: %+v", a)
+	}
+	for _, n := range a.Nodes {
+		if n.MaxQueueDepth > cfg.QueueCap || n.Shed > 0 && n.MaxQueueDepth != cfg.QueueCap {
+			t.Fatalf("node %d shed %d at peak depth %d, cap %d", n.Node, n.Shed, n.MaxQueueDepth, cfg.QueueCap)
+		}
+	}
+	if b := run(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("tiny-queue fleet run not reproducible:\n%v\nvs\n%v", a, b)
+	}
+}

@@ -95,6 +95,35 @@ func prefixL1(prefix, entry []float64) float64 {
 	return sum
 }
 
+// abandonEvery is how many buckets prefixL1Within adds between checks of
+// its bound.
+const abandonEvery = 8
+
+// prefixL1Within is prefixL1 that may stop early: once the partial sum
+// reaches bound it returns that partial sum, which is then ≥ bound. Every
+// term is |x| ≥ 0 (or NaN), and adding a non-negative term to a sum never
+// lowers it under round-to-nearest, so a sum that reaches bound ends ≥
+// bound or NaN — never below bound. A sum that finishes is bit-identical
+// to prefixL1's: same terms, same order.
+func prefixL1Within(prefix, entry []float64, bound float64) float64 {
+	n := min(len(prefix), len(entry))
+	var sum float64
+	i := 0
+	for ; i < n; i++ {
+		sum += math.Abs(prefix[i] - entry[i])
+		if i%abandonEvery == abandonEvery-1 && sum >= bound {
+			return sum
+		}
+	}
+	for ; i < len(prefix); i++ {
+		sum += math.Abs(prefix[i])
+		if i%abandonEvery == abandonEvery-1 && sum >= bound {
+			return sum
+		}
+	}
+	return sum
+}
+
 // PatternDistance is the bank's matching distance as an exported measure:
 // prefix-L1 of a against b, the L1 distance over their overlap plus a's
 // unexplained tail charged at its own values. It is not symmetric: only
@@ -198,11 +227,15 @@ func (b *Bank) IdentifyPattern(prefix []float64) int {
 
 // IdentifyPatternScored is IdentifyPattern returning the winning distance
 // too (+Inf for an empty bank) — the anomaly score the streaming pipeline
-// thresholds.
+// thresholds. An entry stops summing once its distance reaches the best so
+// far, since it can then no longer win strictly (see prefixL1Within); the
+// winner's distance is always summed in full, so index and distance are
+// bit-identical to a plain PatternDistance scan that keeps the first
+// strict minimum.
 func (b *Bank) IdentifyPatternScored(prefix []float64) (int, float64) {
 	best, bestD := -1, math.Inf(1)
 	for i := range b.Entries {
-		if d := prefixL1(prefix, b.Entries[i].Pattern); d < bestD {
+		if d := prefixL1Within(prefix, b.Entries[i].Pattern, bestD); d < bestD {
 			best, bestD = i, d
 		}
 	}

@@ -2,6 +2,7 @@ package signature
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/distance"
@@ -130,6 +131,50 @@ func TestPrefixL1ShortEntryPenalized(t *testing.T) {
 	}
 	if got := prefixL1(short, long); got != 0 {
 		t.Fatalf("prefix shorter than entry should match overlap only: %v", got)
+	}
+}
+
+// TestIdentifyPatternScoredMatchesPlainScan: the early-abandoning scan
+// returns the same index and bitwise the same distance as a plain
+// PatternDistance scan keeping the first strict minimum. Banks mix NaN,
+// ±Inf and −0 buckets, exact ties (small integers and duplicated entries)
+// and empty patterns; patterns reach 40 buckets, so entries are abandoned
+// several strides in, both inside the overlap and in the prefix's tail.
+func TestIdentifyPatternScoredMatchesPlainScan(t *testing.T) {
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	r := rand.New(rand.NewSource(5))
+	pattern := func(odd bool) []float64 {
+		p := make([]float64, r.Intn(41))
+		for i := range p {
+			p[i] = float64(r.Intn(4))
+			if odd && r.Intn(16) == 0 {
+				p[i] = specials[r.Intn(len(specials))]
+			}
+		}
+		return p
+	}
+	for trial := 0; trial < 2000; trial++ {
+		odd := trial%2 == 1
+		b := &Bank{}
+		for n := r.Intn(12); len(b.Entries) < n; {
+			p := pattern(odd)
+			if len(b.Entries) > 0 && r.Intn(4) == 0 {
+				p = b.Entries[r.Intn(len(b.Entries))].Pattern
+			}
+			b.Entries = append(b.Entries, Entry{Pattern: p})
+		}
+		prefix := pattern(odd)
+		want, wantD := -1, math.Inf(1)
+		for i, e := range b.Entries {
+			if d := PatternDistance(prefix, e.Pattern); d < wantD {
+				want, wantD = i, d
+			}
+		}
+		got, gotD := b.IdentifyPatternScored(prefix)
+		same := math.Float64bits(gotD) == math.Float64bits(wantD) || gotD != gotD && wantD != wantD
+		if got != want || !same {
+			t.Fatalf("trial %d: scored (%d, %v), plain scan (%d, %v); prefix %v", trial, got, gotD, want, wantD, prefix)
+		}
 	}
 }
 

@@ -172,9 +172,22 @@ func randBank(r *rand.Rand) *signature.Bank {
 	return b
 }
 
+// naiveIdentify is the bank identification oracle: a plain PatternDistance
+// scan over every entry, nothing pruned or abandoned, keeping the first
+// strict minimum (-1 and +Inf for an empty bank).
+func naiveIdentify(bank *signature.Bank, prefix []float64) (int, float64) {
+	best, bestD := -1, math.Inf(1)
+	for i := range bank.Entries {
+		if d := signature.PatternDistance(prefix, bank.Entries[i].Pattern); d < bestD {
+			best, bestD = i, d
+		}
+	}
+	return best, bestD
+}
+
 // checkSessionNaive: a Session's incremental Best must equal the naive
-// IdentifyPattern rescan after every extension, including mid-request
-// prefix rewrites (Update with a changed bucket forces the rebuild path).
+// rescan after every extension, including mid-request prefix rewrites
+// (Update with a changed bucket forces the rebuild path).
 func checkSessionNaive(seed int64) error {
 	r := rand.New(rand.NewSource(seed))
 	bank := randBank(r)
@@ -192,12 +205,16 @@ func checkSessionNaive(seed int64) error {
 			prefix = append(prefix, delta...)
 			s.Extend(delta...)
 		}
-		want := bank.IdentifyPattern(prefix)
+		want, _ := naiveIdentify(bank, prefix)
 		if got := s.Best(); got != want {
 			return fmt.Errorf("step %d (prefix %d): session best %d, naive %d", step, len(prefix), got, want)
 		}
-		if wantHigh := bank.PredictHighUsage(prefix); s.PredictHigh() != wantHigh {
+		wantHigh := bank.HighUsage(want)
+		if s.PredictHigh() != wantHigh {
 			return fmt.Errorf("step %d: session PredictHigh %v, naive %v", step, s.PredictHigh(), wantHigh)
+		}
+		if bank.PredictHighUsage(prefix) != wantHigh {
+			return fmt.Errorf("step %d: bank PredictHighUsage %v, naive %v", step, !wantHigh, wantHigh)
 		}
 	}
 	return nil
@@ -207,8 +224,8 @@ func checkSessionNaive(seed int64) error {
 // serving shard drives it — Reset before each request, chunked Extends,
 // and a bank swap (the matcher rebuilt in place, then Rebind) that may land
 // mid-request — must report, after every step, the same best index and
-// bitwise the same distance as IdentifyPatternScored against the current
-// bank.
+// bitwise the same distance as the naive scan of the current bank, and so
+// must the bank's own early-abandoning IdentifyPatternScored.
 func checkReusedSessionNaive(seed int64) error {
 	r := rand.New(rand.NewSource(seed))
 	bank := randBank(r)
@@ -226,9 +243,13 @@ func checkReusedSessionNaive(seed int64) error {
 			delta := randSeq(r, 1+r.Intn(3))
 			prefix = append(prefix, delta...)
 			s.Extend(delta...)
-			want, wantD := bank.IdentifyPatternScored(prefix)
+			want, wantD := naiveIdentify(bank, prefix)
 			if got, gotD := s.Best(), s.BestDistance(); got != want || !sameFloat(gotD, wantD) {
 				return fmt.Errorf("request %d step %d (prefix %d): session (%d, %v), naive (%d, %v)",
+					req, step, len(prefix), got, gotD, want, wantD)
+			}
+			if got, gotD := bank.IdentifyPatternScored(prefix); got != want || !sameFloat(gotD, wantD) {
+				return fmt.Errorf("request %d step %d (prefix %d): IdentifyPatternScored (%d, %v), naive (%d, %v)",
 					req, step, len(prefix), got, gotD, want, wantD)
 			}
 		}

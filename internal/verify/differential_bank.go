@@ -88,15 +88,26 @@ func checkPatternMatrix(seed int64) error {
 // same medoids and assignments in the same number of iterations as
 // referenceKMedoids, on continuous distances, on small integers (exact
 // ties everywhere), on tenths (sums that tie exactly in one summation
-// order and not in another, so a reordered sum picks another medoid), and
-// with the odd NaN or +Inf cell. One Scratch serves populations of
-// shrinking and growing size.
+// order and not in another, so a reordered sum picks another medoid), on
+// distances with negative cells (a DTW matrix under a negative penalty,
+// where a partial sum may fall again and the update must not stop early),
+// and with the odd NaN or ±Inf cell. One Scratch serves populations of
+// shrinking and growing size; the last two trials draw 100–200 items into
+// at most six clusters, so clusters run far past the update's 16-member
+// early-abandon stride.
 func checkKMedoids(seed int64) error {
 	r := rand.New(rand.NewSource(seed))
 	var sc cluster.Scratch
-	for trial := 0; trial < 6; trial++ {
-		n := 1 + r.Intn(60)
-		kind, odd := r.Intn(3), r.Intn(4) == 0
+	for trial := 0; trial < 8; trial++ {
+		n, maxK := 1+r.Intn(60), 12
+		if trial >= 6 {
+			n, maxK = 100+r.Intn(101), 6
+		}
+		kind, odd := r.Intn(4), r.Intn(4) == 0
+		specials := []float64{math.NaN(), math.Inf(1)}
+		if kind == 3 {
+			specials = append(specials, math.Inf(-1))
+		}
 		vals := make([]float64, n*n)
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
@@ -106,16 +117,18 @@ func checkKMedoids(seed int64) error {
 					v = float64(r.Intn(6))
 				case 2:
 					v = float64(1+r.Intn(9)) / 10
+				case 3:
+					v -= 2
 				}
 				if odd && r.Intn(40) == 0 {
-					v = []float64{math.NaN(), math.Inf(1)}[r.Intn(2)]
+					v = specials[r.Intn(len(specials))]
 				}
 				vals[i*n+j] = v
 			}
 		}
 		dm := distance.NewMatrix(n, func(i, j int) float64 { return vals[i*n+j] },
 			distance.MatrixOptions{Workers: 1})
-		cfg := cluster.Config{K: 1 + r.Intn(min(n, 12)), Seed: r.Int63(), MaxIterations: r.Intn(4)}
+		cfg := cluster.Config{K: 1 + r.Intn(min(n, maxK)), Seed: r.Int63(), MaxIterations: r.Intn(4)}
 		want := referenceKMedoids(dm, cfg)
 		for _, got := range []*cluster.Result{cluster.KMedoidsMatrix(dm, cfg), sc.KMedoids(dm, cfg)} {
 			if err := sameClustering(got, want); err != nil {

@@ -92,8 +92,9 @@ func FuzzDTW(f *testing.F) {
 
 // FuzzSignatureMatch checks that the incremental Session reports the same
 // best index as the naive full rescan after every single-bucket extension,
-// for arbitrary banks (entry lengths chosen by the fuzzer, duplicates
-// possible) and arbitrary prefixes.
+// and the bank's early-abandoning IdentifyPatternScored the same index and
+// bitwise the same distance, for arbitrary banks (entry lengths chosen by
+// the fuzzer, duplicates possible) and arbitrary prefixes.
 func FuzzSignatureMatch(f *testing.F) {
 	f.Add([]byte{4, 1, 2, 3, 4, 2, 9, 9, 0}, []byte{1, 2, 3, 4, 5})
 	f.Add([]byte{0, 3, 7, 7, 7}, []byte{7, 7})
@@ -122,8 +123,12 @@ func FuzzSignatureMatch(f *testing.F) {
 		for _, b := range fuzzSeq(prefixBytes, 48) {
 			prefix = append(prefix, b)
 			s.Extend(b)
-			if got, want := s.Best(), bank.IdentifyPattern(prefix); got != want {
+			want, wantD := naiveIdentify(bank, prefix)
+			if got := s.Best(); got != want {
 				t.Fatalf("prefix len %d: session best %d, naive %d", len(prefix), got, want)
+			}
+			if got, gotD := bank.IdentifyPatternScored(prefix); got != want || !sameFloat(gotD, wantD) {
+				t.Fatalf("prefix len %d: IdentifyPatternScored (%d, %v), naive (%d, %v)", len(prefix), got, gotD, want, wantD)
 			}
 		}
 	})
