@@ -68,6 +68,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *obsSample == 0 {
+		fmt.Fprintln(stderr, "rbvrepro: -obs-sample must be at least 1, got 0")
+		return 2
+	}
 
 	var col *obs.Collector
 	if *jsonOut != "" || *traceOut {

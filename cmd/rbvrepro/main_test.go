@@ -85,6 +85,15 @@ func TestRunBadScaleExitsTwo(t *testing.T) {
 	}
 }
 
+// -obs-sample 0 would record no observations at all; it is a usage error
+// naming the flag, not a silent 1-in-1 sampling.
+func TestRunZeroObsSampleExitsTwo(t *testing.T) {
+	code, stdout, stderr := cli(t, "-run", "fig1", "-scale", "0.05", "-trace", "-obs-sample", "0")
+	if code != 2 || !strings.Contains(stderr, "-obs-sample") || stdout != "" {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 2 naming -obs-sample", code, stdout, stderr)
+	}
+}
+
 func TestRunTracePrintsSummary(t *testing.T) {
 	code, stdout, stderr := cli(t, "-run", "faultanomaly", "-scale", "0.05", "-trace")
 	if code != 0 {

@@ -37,6 +37,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *requests <= 0 {
+		fmt.Fprintf(stderr, "rbvtrace: -requests must be positive, got %d\n", *requests)
+		return 2
+	}
 	if *buckets <= 0 {
 		fmt.Fprintf(stderr, "rbvtrace: -buckets must be positive, got %d\n", *buckets)
 		return 2

@@ -106,6 +106,20 @@ func TestRunBadBucketsAndLimitExitTwo(t *testing.T) {
 	}
 }
 
+// A non-positive -requests is a usage error naming the flag, not a run
+// failure from deep inside the simulator.
+func TestRunBadRequestsExitsTwo(t *testing.T) {
+	for _, val := range []string{"0", "-4"} {
+		var out, errBuf bytes.Buffer
+		code := run([]string{"-app", "tpcc", "-requests", val}, &out, &errBuf)
+		want := "rbvtrace: -requests must be positive, got " + val
+		if code != 2 || !strings.Contains(errBuf.String(), want) || out.Len() != 0 {
+			t.Errorf("-requests %s: exit %d, stdout %q, stderr %q; want exit 2 and %q",
+				val, code, out.String(), errBuf.String(), want)
+		}
+	}
+}
+
 // -topology overrides the machine: a half-clock topology stretches every
 // request's virtual time, which shows up as a different (still
 // deterministic) dump; a bad spec exits 2 naming the field.
