@@ -137,12 +137,15 @@ bench-json:
 # bench-smoke is the benchmark-regression gate: the same sweep compared
 # against the committed PR 6 snapshot with a 3x tolerance — generous enough
 # that machine noise never trips it, tight enough that a lost fast path or
-# accidental O(n^2) fails loudly. Sub-100µs ns/op baselines are skipped as
-# noise. The baseline carries -benchmem columns, so B/op and allocs/op are
-# guarded under the same run (the alloc-regression leg: allocation counts
-# are deterministic, so a blown pooling fast path fails here even when wall
-# time stays inside the ns/op tolerance).
+# accidental O(n^2) fails loudly. Each benchmark runs five times and
+# benchjson compares the median of each dimension: a single 1x sample of a
+# few-millisecond benchmark can read 20x on a busy host. Sub-100µs ns/op
+# baselines are skipped as noise. The baseline carries -benchmem columns,
+# so B/op and allocs/op are guarded under the same run (the
+# alloc-regression leg: allocation counts are deterministic, so a blown
+# pooling fast path fails here even when wall time stays inside the ns/op
+# tolerance).
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem . \
+	$(GO) test -run '^$$' -bench . -benchtime=1x -count 5 -benchmem . \
 		| $(GO) run ./cmd/benchjson -against BENCH_506f09d.json \
 			-mem-tolerance 3 -bytes-floor 1e6 -allocs-floor 10e3 -out /dev/null

@@ -7,9 +7,12 @@
 //	go test -run '^$' -bench . -benchtime=1x . | go run ./cmd/benchjson -out BENCH_abc123.json
 //	go test -run '^$' -bench . -benchtime=1x . | go run ./cmd/benchjson -against BENCH_506f09d.json
 //
-// Every benchmark line becomes an object with its iteration count, ns/op,
-// and all custom metrics (including B/op and allocs/op when -benchmem is
-// on); goos/goarch/cpu header lines are carried into the envelope.
+// Every benchmark becomes an object with its iteration count, ns/op, and
+// all custom metrics (including B/op and allocs/op when -benchmem is on);
+// goos/goarch/cpu header lines are carried into the envelope. Repeated
+// lines of one benchmark (`go test -count N`) fold into one object holding
+// the median of each dimension over the lines that report it, so a single
+// slow sample cannot decide a comparison.
 //
 // With -obs LIST (comma-separated registry names), benchjson additionally
 // runs those experiments at -obs-scale under an observability collector and
@@ -135,6 +138,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "benchjson: read: %v\n", err)
 		return 1
 	}
+	rep.Benchmarks = foldRepeats(rep.Benchmarks)
 
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -163,6 +167,57 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
+}
+
+// foldRepeats merges the lines of each benchmark name into one entry, in
+// order of first appearance: iterations, ns/op and every metric become the
+// median of the values the lines report (the mean of the middle two for an
+// even count). A benchmark run once is returned unchanged.
+func foldRepeats(bs []Benchmark) []Benchmark {
+	var names []string
+	runs := map[string][]Benchmark{}
+	for _, b := range bs {
+		if _, ok := runs[b.Name]; !ok {
+			names = append(names, b.Name)
+		}
+		runs[b.Name] = append(runs[b.Name], b)
+	}
+	out := make([]Benchmark, 0, len(names))
+	for _, name := range names {
+		lines := runs[name]
+		b := lines[0]
+		if len(lines) > 1 {
+			var iters, ns []float64
+			metrics := map[string][]float64{}
+			for _, l := range lines {
+				iters = append(iters, float64(l.Iterations))
+				ns = append(ns, l.NsPerOp)
+				for unit, v := range l.Metrics { // maporder:ok appends into per-unit lists; order within a list is irrelevant to the median
+					metrics[unit] = append(metrics[unit], v)
+				}
+			}
+			b.Iterations, b.NsPerOp = int64(median(iters)), median(ns)
+			b.Metrics = nil
+			if len(metrics) > 0 {
+				b.Metrics = make(map[string]float64, len(metrics))
+			}
+			for unit, vs := range metrics { // maporder:ok writes one key per unit
+				b.Metrics[unit] = median(vs)
+			}
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// median returns the median of xs, sorting it in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // tolerances bundles the -against comparison factors and noise floors.

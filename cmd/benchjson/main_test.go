@@ -268,6 +268,57 @@ func TestAgainstRegressesCustomNsMetrics(t *testing.T) {
 	}
 }
 
+// Repeated lines of one benchmark (-count 5) fold into the median of each
+// dimension before the comparison: one 20x sample among five does not fail
+// the gate, while a slowdown every sample shows still does.
+func TestRepeatedLinesFoldToMedian(t *testing.T) {
+	const repeated = `BenchmarkFigure6-8  1  1000000 ns/op  10 B/op  4 allocs/op
+BenchmarkFigure6-8  1  20000000 ns/op  10 B/op  4 allocs/op
+BenchmarkOther-8  3  500 ns/op
+BenchmarkFigure6-8  1  1200000 ns/op  12 B/op  4 allocs/op
+BenchmarkFigure6-8  2  900000 ns/op  10 B/op  5 allocs/op
+BenchmarkFigure6-8  1  1100000 ns/op  30 B/op  4 allocs/op
+`
+	var out, errBuf bytes.Buffer
+	if code := run(nil, strings.NewReader(repeated), &out, &errBuf); code != 0 {
+		t.Fatalf("exit %d: %s", code, errBuf.String())
+	}
+	var rep Report
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 2 || rep.Benchmarks[0].Name != "BenchmarkFigure6" || rep.Benchmarks[1].Name != "BenchmarkOther" {
+		t.Fatalf("folded benchmarks %+v, want Figure6 then Other", rep.Benchmarks)
+	}
+	fig := rep.Benchmarks[0]
+	if fig.Iterations != 1 || fig.NsPerOp != 1100000 || fig.Metrics["B/op"] != 10 || fig.Metrics["allocs/op"] != 4 {
+		t.Fatalf("folded Figure6 %+v, want the per-dimension medians", fig)
+	}
+	if other := rep.Benchmarks[1]; other.Iterations != 3 || other.NsPerOp != 500 || other.Metrics != nil {
+		t.Fatalf("single-line benchmark changed by folding: %+v", other)
+	}
+
+	base := writeBaseline(t, map[string]float64{"BenchmarkFigure6": 1000000})
+	out.Reset()
+	errBuf.Reset()
+	if code := run([]string{"-against", base}, strings.NewReader(repeated), &out, &errBuf); code != 0 {
+		t.Fatalf("one outlier sample failed the gate: exit %d: %s", code, errBuf.String())
+	}
+	base = writeBaseline(t, map[string]float64{"BenchmarkFigure6": 300000})
+	out.Reset()
+	errBuf.Reset()
+	if code := run([]string{"-against", base}, strings.NewReader(repeated), &out, &errBuf); code != 1 ||
+		!strings.Contains(errBuf.String(), "REGRESSION BenchmarkFigure6: 1100000 ns/op") {
+		t.Fatalf("a 3.7x median slowdown passed: exit %d: %s", code, errBuf.String())
+	}
+}
+
+func TestMedianEvenCount(t *testing.T) {
+	if got := median([]float64{4, 1, 3, 2}); got != 2.5 {
+		t.Fatalf("median of 1..4 = %v, want 2.5", got)
+	}
+}
+
 func TestAgainstMissingBaselineFileExitsOne(t *testing.T) {
 	var out, errBuf bytes.Buffer
 	code := run([]string{"-against", filepath.Join(t.TempDir(), "nope.json")}, strings.NewReader(sampleBench), &out, &errBuf)
