@@ -1,10 +1,11 @@
 // Benchmarks for the online identification fast path (Section 4.4 at
 // serving scale): a 500-entry signature bank matched against streaming
 // prefixes that grow bucket by bucket, the per-request hot path of online
-// CPU-usage prediction. Variants: the naive full rescan per update and
-// the session's pruned lower-bound cascade. A one-time golden check
-// asserts the cascade identifies exactly the same bank entries as the
-// naive matcher.
+// CPU-usage prediction. Variants: the naive full rescan per update
+// (Bank.IdentifyPattern, which rescans the whole prefix against every entry
+// and only stops an entry's sum once it can no longer win) and the
+// session's pruned lower-bound cascade. A one-time golden check asserts the
+// cascade identifies exactly the same bank entries as the naive matcher.
 //
 // Run with:
 //

@@ -277,8 +277,8 @@ type fleetReq struct {
 
 // fleetCore is one core's FIFO queue plus its tick-rate snapshot. The
 // queue is a ring of exactly QueueCap slots: q[head] is the oldest request
-// and n requests are queued, so admitting one and retiring a completed
-// prefix move no request.
+// and n requests are queued, so retiring a completed prefix moves no
+// queued request.
 type fleetCore struct {
 	q     []fleetReq // ring storage, len(q) == QueueCap
 	head  int
