@@ -57,6 +57,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/obs"
+	"repro/internal/stats"
 )
 
 // Benchmark is one parsed benchmark result line.
@@ -196,28 +197,18 @@ func foldRepeats(bs []Benchmark) []Benchmark {
 					metrics[unit] = append(metrics[unit], v)
 				}
 			}
-			b.Iterations, b.NsPerOp = int64(median(iters)), median(ns)
+			b.Iterations, b.NsPerOp = int64(stats.Median(iters)), stats.Median(ns)
 			b.Metrics = nil
 			if len(metrics) > 0 {
 				b.Metrics = make(map[string]float64, len(metrics))
 			}
 			for unit, vs := range metrics { // maporder:ok writes one key per unit
-				b.Metrics[unit] = median(vs)
+				b.Metrics[unit] = stats.Median(vs)
 			}
 		}
 		out = append(out, b)
 	}
 	return out
-}
-
-// median returns the median of xs, sorting it in place.
-func median(xs []float64) float64 {
-	sort.Float64s(xs)
-	n := len(xs)
-	if n%2 == 1 {
-		return xs[n/2]
-	}
-	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // tolerances bundles the -against comparison factors and noise floors.

@@ -313,12 +313,6 @@ BenchmarkFigure6-8  1  1100000 ns/op  30 B/op  4 allocs/op
 	}
 }
 
-func TestMedianEvenCount(t *testing.T) {
-	if got := median([]float64{4, 1, 3, 2}); got != 2.5 {
-		t.Fatalf("median of 1..4 = %v, want 2.5", got)
-	}
-}
-
 func TestAgainstMissingBaselineFileExitsOne(t *testing.T) {
 	var out, errBuf bytes.Buffer
 	code := run([]string{"-against", filepath.Join(t.TempDir(), "nope.json")}, strings.NewReader(sampleBench), &out, &errBuf)
