@@ -73,6 +73,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "rbvserve: -requests must be positive, got %d\n", *requests)
 		return 2
 	}
+	if *workers < 0 {
+		fmt.Fprintf(stderr, "rbvserve: -workers must be non-negative, got %d\n", *workers)
+		return 2
+	}
 	if *topoSpec != "" {
 		return runFleet(*topoSpec, *policy, *seed, *requests, *spec, stdout, stderr)
 	}

@@ -70,6 +70,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if code, _, errs := cli(t, "-spec", "rate=1000"); code != 2 {
 		t.Errorf("spec without mix accepted (exit %d, stderr %q)", code, errs)
 	}
+	if code, _, errs := cli(t, "-workers", "-3"); code != 2 || !strings.Contains(errs, "-workers") {
+		t.Errorf("-workers -3 accepted (exit %d, stderr %q)", code, errs)
+	}
 }
 
 func TestRunTrace(t *testing.T) {

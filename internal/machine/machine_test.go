@@ -165,6 +165,29 @@ func TestRateChangeListenerFires(t *testing.T) {
 	}
 }
 
+// TestSetActivityAllocatesNothing: recomputeRates reuses one changed-core
+// buffer, so activity churn that notifies co-runners allocates nothing.
+func TestSetActivityAllocatesNothing(t *testing.T) {
+	_, m := newTestMachine()
+	notified := 0
+	m.OnRateChange(func(int) { notified++ })
+	mem, cpu := memBound(), cpuBound()
+	allocs := testing.AllocsPerRun(100, func() {
+		m.SetActivity(0, mem)
+		m.SetActivity(1, mem)
+		m.SetActivity(2, cpu)
+		m.SetActivity(1, nil)
+		m.SetActivity(0, nil)
+		m.SetActivity(2, nil)
+	})
+	if allocs != 0 {
+		t.Fatalf("SetActivity churn allocates %v objects per run, want 0", allocs)
+	}
+	if notified == 0 {
+		t.Fatal("churn never notified a co-runner; the test exercises nothing")
+	}
+}
+
 func TestAppInstructionsAndTimeToReach(t *testing.T) {
 	eng, m := newTestMachine()
 	m.SetActivity(0, cpuBound())

@@ -157,8 +157,8 @@ func TestConfigTopologyResolution(t *testing.T) {
 	if cfg.NumCores() != 8 {
 		t.Fatalf("override NumCores = %d", cfg.NumCores())
 	}
-	if cfg.clock() != 2 {
-		t.Fatalf("override clock = %v", cfg.clock())
+	if cfg.Clock() != 2 {
+		t.Fatalf("override clock = %v", cfg.Clock())
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)

@@ -72,6 +72,34 @@ func (k bankKnobs) validate(prefix string) error {
 	return nil
 }
 
+// tickKnobs are the tick, queue, degrade and compaction settings shared by
+// Config and FleetConfig under the same field names.
+type tickKnobs struct {
+	TickNs, CostDegradedNs                                int64
+	QueueCap, DegradeDepth, TemplatesPerApp, CompactTicks int
+}
+
+// validate names the offending field after prefix, like bankKnobs.validate.
+func (k tickKnobs) validate(prefix string) error {
+	switch {
+	case k.TickNs <= 0:
+		return fmt.Errorf("%sTickNs must be positive, got %d", prefix, k.TickNs)
+	case k.QueueCap <= 0:
+		return fmt.Errorf("%sQueueCap must be positive, got %d", prefix, k.QueueCap)
+	case k.DegradeDepth <= 0 || k.DegradeDepth > k.QueueCap:
+		return fmt.Errorf("%sDegradeDepth must be in (0, QueueCap], got %d", prefix, k.DegradeDepth)
+	case k.CostDegradedNs <= 0:
+		return fmt.Errorf("%sCostDegradedNs must be positive, got %d", prefix, k.CostDegradedNs)
+	case k.CostDegradedNs > k.TickNs:
+		return fmt.Errorf("%sCostDegradedNs (%d) exceeds the tick budget (%d): a degraded request could never complete", prefix, k.CostDegradedNs, k.TickNs)
+	case k.TemplatesPerApp <= 0:
+		return fmt.Errorf("%sTemplatesPerApp must be positive, got %d", prefix, k.TemplatesPerApp)
+	case k.CompactTicks <= 0:
+		return fmt.Errorf("%sCompactTicks must be positive, got %d", prefix, k.CompactTicks)
+	}
+	return nil
+}
+
 // bankMaintainer owns one signature bank and the window that feeds it.
 // The engine drives it only from its serial phase, while its parallel
 // shard phase reads bank and threshold without writing them. The serial
@@ -247,12 +275,7 @@ func (b *bankMaintainer) rebuild(medoids []int, pats [][]float64, cpus []float64
 func (b *bankMaintainer) materialize() {
 	for i := 0; i < b.winLen; i++ {
 		rec := b.at(i)
-		tmpl := b.tmpl[rec.app][rec.tmpl].pattern
-		buf := b.pats[i][:0]
-		for j := range tmpl {
-			buf = append(buf, patternValue(tmpl, j, rec.drift, rec.anom))
-		}
-		b.pats[i] = buf
+		b.pats[i] = appendPattern(b.pats[i][:0], b.tmpl[rec.app][rec.tmpl].pattern, rec.drift, rec.anom)
 		b.cpuOf[i] = rec.cpuNs
 		b.typeOf[i] = b.apps[rec.app].Name
 	}

@@ -151,38 +151,21 @@ func (c Config) normalize() (Config, error) {
 	if c.Workers > c.Shards {
 		c.Workers = c.Shards
 	}
-	if c.TickNs <= 0 {
-		return c, fmt.Errorf("serve: TickNs must be positive, got %d", c.TickNs)
-	}
-	if c.QueueCap <= 0 {
-		return c, fmt.Errorf("serve: QueueCap must be positive, got %d", c.QueueCap)
-	}
-	if c.DegradeDepth <= 0 || c.DegradeDepth > c.QueueCap {
-		return c, fmt.Errorf("serve: DegradeDepth must be in (0, QueueCap], got %d", c.DegradeDepth)
+	tk := tickKnobs{c.TickNs, c.CostDegradedNs, c.QueueCap, c.DegradeDepth, c.TemplatesPerApp, c.CompactTicks}
+	if err := tk.validate("serve: "); err != nil {
+		return c, err
 	}
 	if c.ChunkBuckets <= 0 {
 		return c, fmt.Errorf("serve: ChunkBuckets must be positive, got %d", c.ChunkBuckets)
 	}
-	if c.TemplatesPerApp <= 0 {
-		return c, fmt.Errorf("serve: TemplatesPerApp must be positive, got %d", c.TemplatesPerApp)
-	}
 	if err := c.bankKnobs().validate("serve: "); err != nil {
 		return c, err
-	}
-	if c.CompactTicks <= 0 {
-		return c, fmt.Errorf("serve: CompactTicks must be positive, got %d", c.CompactTicks)
 	}
 	if c.CostPerCallNs < 0 {
 		return c, fmt.Errorf("serve: CostPerCallNs must be non-negative, got %d", c.CostPerCallNs)
 	}
 	if c.CostPerBucketNs < 0 {
 		return c, fmt.Errorf("serve: CostPerBucketNs must be non-negative, got %d", c.CostPerBucketNs)
-	}
-	if c.CostDegradedNs <= 0 {
-		return c, fmt.Errorf("serve: CostDegradedNs must be positive, got %d", c.CostDegradedNs)
-	}
-	if c.CostDegradedNs > c.TickNs {
-		return c, fmt.Errorf("serve: CostDegradedNs (%d) exceeds the tick budget (%d): a degraded request could never complete", c.CostDegradedNs, c.TickNs)
 	}
 	if minCost := c.CostPerCallNs + int64(c.ChunkBuckets)*c.CostPerBucketNs; minCost > c.TickNs {
 		return c, fmt.Errorf("serve: one identify chunk (%d virtual ns) exceeds the tick budget (%d): the queue could never drain", minCost, c.TickNs)

@@ -2,10 +2,10 @@
 // machines. One deterministic stream feeds every node; a placement policy
 // (round-robin or contention-easing) routes each arrival to a core queue;
 // cores execute head-of-queue requests under the paper's shared-cache
-// contention model, evaluated per package from tick-start snapshots; each
-// node keeps its own sliding window and compacted signature bank, and the
-// fleet periodically merges the per-node banks into one global bank that
-// every node adopts.
+// contention model, which each node's machine.Contention evaluates from
+// tick-start snapshots; each node keeps its own sliding window and
+// compacted signature bank, and the fleet periodically merges the per-node
+// banks into one global bank that every node adopts.
 //
 // A tick runs on the calling goroutine: ingest, rate snapshots, package
 // execution and aggregation all go in (node, package) order. A tick is
@@ -19,7 +19,6 @@ import (
 	"math"
 	"strings"
 
-	"repro/internal/cache"
 	"repro/internal/cluster"
 	"repro/internal/distance"
 	"repro/internal/machine"
@@ -222,29 +221,12 @@ func (c FleetConfig) normalize() (FleetConfig, error) {
 		return c, fmt.Errorf("serve: FleetConfig.ScaleLowWater %g must be below ScaleHighWater %g",
 			c.ScaleLowWater, c.ScaleHighWater)
 	}
-	if c.TickNs <= 0 {
-		return c, fmt.Errorf("serve: FleetConfig.TickNs must be positive, got %d", c.TickNs)
-	}
-	if c.QueueCap <= 0 {
-		return c, fmt.Errorf("serve: FleetConfig.QueueCap must be positive, got %d", c.QueueCap)
-	}
-	if c.DegradeDepth <= 0 || c.DegradeDepth > c.QueueCap {
-		return c, fmt.Errorf("serve: FleetConfig.DegradeDepth must be in (0, QueueCap], got %d", c.DegradeDepth)
-	}
-	if c.CostDegradedNs <= 0 {
-		return c, fmt.Errorf("serve: FleetConfig.CostDegradedNs must be positive, got %d", c.CostDegradedNs)
-	}
-	if c.CostDegradedNs > c.TickNs {
-		return c, fmt.Errorf("serve: FleetConfig.CostDegradedNs (%d) exceeds the tick budget (%d): a degraded request could never complete", c.CostDegradedNs, c.TickNs)
-	}
-	if c.TemplatesPerApp <= 0 {
-		return c, fmt.Errorf("serve: FleetConfig.TemplatesPerApp must be positive, got %d", c.TemplatesPerApp)
+	tk := tickKnobs{c.TickNs, c.CostDegradedNs, c.QueueCap, c.DegradeDepth, c.TemplatesPerApp, c.CompactTicks}
+	if err := tk.validate("serve: FleetConfig."); err != nil {
+		return c, err
 	}
 	if err := c.bankKnobs().validate("serve: FleetConfig."); err != nil {
 		return c, err
-	}
-	if c.CompactTicks <= 0 {
-		return c, fmt.Errorf("serve: FleetConfig.CompactTicks must be positive, got %d", c.CompactTicks)
 	}
 	if c.MergeEvery < 0 {
 		return c, fmt.Errorf("serve: FleetConfig.MergeEvery must be non-negative, got %d", c.MergeEvery)
@@ -280,14 +262,14 @@ type fleetReq struct {
 // and n requests are queued, so retiring a completed prefix moves no
 // queued request.
 type fleetCore struct {
-	q     []fleetReq // ring storage, len(q) == QueueCap
-	head  int
-	n     int
-	pkg   int     // index into Fleet.pkgs
-	scale float64 // static topology frequency scale
-	// Tick-start snapshot (serial phase): effective CPI of the occupant
-	// set and the resulting instruction rate. Zero insPerNs means idle.
-	cpi      float64
+	q    []fleetReq // ring storage, len(q) == QueueCap
+	head int
+	n    int
+	pkg  int // index into Fleet.pkgs
+	// Tick-start snapshot (serial phase): the head request's activity and
+	// its instruction rate under the node's contention (its CPI stays in
+	// the node's Contention). Zero insPerNs means idle.
+	act      machine.Activity
 	insPerNs float64
 }
 
@@ -330,26 +312,19 @@ type pkgTally struct {
 	cycles, ins     float64 // executed work, for CPI accounting
 }
 
-// fleetPkg is one package of one node: a shared cache over its cores,
-// the unit of the contention model.
+// fleetPkg is one package of one node: the cores sharing one cache, the
+// unit of contention-easing placement and of the per-tick tallies.
 type fleetPkg struct {
 	node       int
 	cores      []int // node-local core indices
-	cacheCfg   cache.Config
-	queuedHigh int // predicted-high requests queued here
+	queuedHigh int   // predicted-high requests queued here
 
 	tally pkgTally
-
-	// Rate-snapshot scratch.
-	miss      []float64
-	demands   []*cache.Demand
-	demandBuf []cache.Demand
 }
 
 // fleetNode is one machine of the fleet.
 type fleetNode struct {
-	topo  machine.Topology
-	clock float64
+	ct    *machine.Contention // the node's contention model, one slot per core
 	cores []fleetCore
 	pkgs  []int // indices into Fleet.pkgs
 
@@ -367,9 +342,8 @@ type Fleet struct {
 	stream *workload.Stream
 	tmpl   [][]template
 	nodes  []*fleetNode
-	pkgs   []*fleetPkg  // all packages, node order
-	penCfg cache.Config // bandwidth-penalty knobs (machine defaults)
-	patBuf []float64    // pattern scratch for sampled completion scoring
+	pkgs   []*fleetPkg // all packages, node order
+	patBuf []float64   // pattern scratch for sampled completion scoring
 
 	// fleetThresholds classifies predicted high usage at admission, one
 	// threshold per arrival cohort (index 0 when cohorts are disabled).
@@ -439,39 +413,21 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	// A merge offers at most the concatenation of every node's bank; the
 	// merge scratch and each node's install scratch are sized for it.
 	mcap := max(len(cfg.Nodes)*cfg.BankK, cfg.TemplatesPerApp*len(tmpl)*len(cfg.Nodes))
-	mc := machine.DefaultConfig()
-	f.penCfg = mc.Cache
 	for ni, topo := range cfg.Nodes {
-		clock := mc.CyclesPerNs
-		if topo.CyclesPerNs > 0 {
-			clock = topo.CyclesPerNs
-		}
+		mc := machine.DefaultConfig()
+		mc.Topology = topo
 		n := &fleetNode{
-			topo:  topo,
-			clock: clock,
-			bm:    newBankMaintainer(cfg.bankKnobs(), tmpl, cfg.Stream.Apps, cfg.Stream.Seed+int64(ni)*1_000_003, mcap),
+			ct: machine.NewContention(mc),
+			bm: newBankMaintainer(cfg.bankKnobs(), tmpl, cfg.Stream.Apps, cfg.Stream.Seed+int64(ni)*1_000_003, mcap),
 		}
 		n.res.Node = ni
 		n.res.Topology = topo.String()
+		n.cores = make([]fleetCore, 0, topo.NumCores())
 		for _, ps := range topo.Packages {
-			pc := mc.Cache
-			if ps.CacheMB > 0 {
-				pc.CapacityBytes = ps.CacheMB * (1 << 20)
-			}
-			pkg := &fleetPkg{
-				node:      ni,
-				cacheCfg:  pc,
-				miss:      make([]float64, ps.Cores),
-				demands:   make([]*cache.Demand, ps.Cores),
-				demandBuf: make([]cache.Demand, ps.Cores),
-			}
+			pkg := &fleetPkg{node: ni}
 			for j := 0; j < ps.Cores; j++ {
 				pkg.cores = append(pkg.cores, len(n.cores))
-				n.cores = append(n.cores, fleetCore{
-					q:     make([]fleetReq, cfg.QueueCap),
-					pkg:   len(f.pkgs),
-					scale: ps.FreqScale,
-				})
+				n.cores = append(n.cores, fleetCore{q: make([]fleetReq, cfg.QueueCap), pkg: len(f.pkgs)})
 			}
 			n.pkgs = append(n.pkgs, len(f.pkgs))
 			f.pkgs = append(f.pkgs, pkg)
@@ -743,57 +699,34 @@ func shortestCore(nd *fleetNode, cores []int) int {
 }
 
 // snapshotRates derives every core's tick execution rate from the
-// head-of-queue occupant set, per package, under the paper's shared-cache
-// and bandwidth contention model, before any package executes.
+// head-of-queue occupant set through each node's machine.Contention — the
+// offline machine's shared-cache and bandwidth model — before any package
+// executes.
 func (f *Fleet) snapshotRates() {
 	for _, nd := range f.nodes {
-		// Per-package effective miss ratios.
-		for _, pi := range nd.pkgs {
-			pkg := f.pkgs[pi]
-			for j, ci := range pkg.cores {
-				c := &nd.cores[ci]
-				if c.n == 0 {
-					pkg.demands[j] = nil
-					continue
-				}
-				r := &c.q[c.head]
-				tm := &f.tmpl[r.app][r.tmpl]
-				d := tm.demand
-				d.RefsPerIns *= r.drift
-				if r.anom {
-					// Injected anomalies behave as cache polluters.
-					d.RefsPerIns *= anomalyPatFactor
-					d.WorkingSetBytes *= anomalyPatFactor
-				}
-				pkg.demandBuf[j] = d
-				pkg.demands[j] = &pkg.demandBuf[j]
+		ct := nd.ct
+		for ci := range nd.cores {
+			c := &nd.cores[ci]
+			if c.n == 0 {
+				ct.Set(ci, nil)
+				continue
 			}
-			cache.MissRatiosInto(pkg.cacheCfg, pkg.demands, pkg.miss)
-		}
-		// Node-wide bandwidth pressure, then per-core CPI and rate.
-		var traffic float64
-		for _, pi := range nd.pkgs {
-			pkg := f.pkgs[pi]
-			for j := range pkg.cores {
-				if pkg.demands[j] != nil {
-					traffic += pkg.demands[j].RefsPerIns * pkg.miss[j]
-				}
+			r := &c.q[c.head]
+			c.act = f.tmpl[r.app][r.tmpl].act
+			c.act.RefsPerIns *= r.drift
+			if r.anom {
+				// Injected anomalies behave as cache polluters.
+				c.act.RefsPerIns *= anomalyPatFactor
+				c.act.WorkingSetBytes *= anomalyPatFactor
 			}
+			ct.Set(ci, &c.act)
 		}
-		penalty := cache.PenaltyFactor(f.penCfg, traffic)
-		for _, pi := range nd.pkgs {
-			pkg := f.pkgs[pi]
-			for j, ci := range pkg.cores {
-				c := &nd.cores[ci]
-				if pkg.demands[j] == nil {
-					c.cpi, c.insPerNs = 0, 0
-					continue
-				}
-				r := &c.q[c.head]
-				tm := &f.tmpl[r.app][r.tmpl]
-				cpi := cache.CPI(pkg.cacheCfg, tm.baseCPI, pkg.demands[j].RefsPerIns, pkg.miss[j], penalty)
-				c.cpi = cpi
-				c.insPerNs = nd.clock * c.scale / cpi
+		ct.Evaluate()
+		for ci := range nd.cores {
+			c := &nd.cores[ci]
+			c.insPerNs = 0
+			if c.n > 0 {
+				c.insPerNs = ct.Clock() * ct.Scale(ci) / ct.CPI(ci)
 			}
 		}
 	}
@@ -810,6 +743,7 @@ func (f *Fleet) processPkg(pkg *fleetPkg) {
 		if c.insPerNs == 0 || c.n == 0 {
 			continue
 		}
+		cpi := nd.ct.CPI(ci)
 		budget := float64(f.cfg.TickNs)
 		done := 0
 		for ; done < c.n; done++ {
@@ -828,12 +762,12 @@ func (f *Fleet) processPkg(pkg *fleetPkg) {
 					ran := budget * c.insPerNs
 					r.remIns -= ran
 					pkg.tally.ins += ran
-					pkg.tally.cycles += ran * c.cpi
+					pkg.tally.cycles += ran * cpi
 					break
 				}
 				budget -= need
 				pkg.tally.ins += r.remIns
-				pkg.tally.cycles += r.remIns * c.cpi
+				pkg.tally.cycles += r.remIns * cpi
 			}
 			r.remIns = 0
 			f.completeFleet(pkg, nd, r, f.nowNs+f.cfg.TickNs-int64(budget))
@@ -862,14 +796,9 @@ func (f *Fleet) completeFleet(pkg *fleetPkg, nd *fleetNode, r *fleetReq, doneNs 
 	// Degraded requests skip identification entirely — that is what the
 	// degraded tier buys — so they are never scored or flagged.
 	if !r.degraded && r.id%uint64(f.cfg.ScoreSampleEvery) == 0 {
-		tm := f.tmpl[r.app][r.tmpl].pattern
-		buf := f.patBuf[:0]
-		for j := range tm {
-			buf = append(buf, patternValue(tm, j, r.drift, r.anom))
-		}
-		f.patBuf = buf
-		_, dist := nd.bm.bank.IdentifyPatternScored(buf)
-		score := dist / float64(len(buf))
+		f.patBuf = appendPattern(f.patBuf[:0], f.tmpl[r.app][r.tmpl].pattern, r.drift, r.anom)
+		_, dist := nd.bm.bank.IdentifyPatternScored(f.patBuf)
+		score := dist / float64(len(f.patBuf))
 		pkg.tally.scoreSum += score
 		if score > nd.bm.threshold {
 			pkg.tally.flagged++

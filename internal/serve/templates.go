@@ -24,11 +24,11 @@ type template struct {
 	pattern []float64 // refs/ins per progress bucket, ≤ MaxPatternLen
 	cpuNs   float64   // solo CPU consumption
 	// Fleet-mode demand summary (ignored by the single-node engine): total
-	// instructions plus the instruction-weighted base CPI and cache demand
-	// that drive the per-package contention model.
-	ins     float64
-	baseCPI float64
-	demand  cache.Demand
+	// instructions plus the instruction-weighted activity (base CPI, cache
+	// demand; the largest phase working set) that fleet nodes price through
+	// machine.Contention.
+	ins float64
+	act machine.Activity
 }
 
 // tmplMatch is the cached identification of a template against the current
@@ -104,13 +104,13 @@ func requestTemplate(req *workload.Request, bucketIns float64, maxLen int, mc ma
 	for _, p := range req.Phases {
 		a := p.Activity
 		cpi := cache.CPI(mc.Cache, a.BaseCPI, a.RefsPerIns, a.SoloMissRatio, 1)
-		t.cpuNs += p.Instructions * cpi / mc.CyclesPerNs
+		t.cpuNs += p.Instructions * cpi / mc.Clock()
 		t.ins += p.Instructions
-		t.baseCPI += p.Instructions * a.BaseCPI
-		t.demand.RefsPerIns += p.Instructions * a.RefsPerIns
-		t.demand.SoloMissRatio += p.Instructions * a.SoloMissRatio
-		if a.WorkingSetBytes > t.demand.WorkingSetBytes {
-			t.demand.WorkingSetBytes = a.WorkingSetBytes
+		t.act.BaseCPI += p.Instructions * a.BaseCPI
+		t.act.RefsPerIns += p.Instructions * a.RefsPerIns
+		t.act.SoloMissRatio += p.Instructions * a.SoloMissRatio
+		if a.WorkingSetBytes > t.act.WorkingSetBytes {
+			t.act.WorkingSetBytes = a.WorkingSetBytes
 		}
 		remaining := p.Instructions
 		for remaining > 0 {
@@ -133,9 +133,9 @@ func requestTemplate(req *workload.Request, bucketIns float64, maxLen int, mc ma
 		t.pattern = append(t.pattern, acc/fill)
 	}
 	if t.ins > 0 {
-		t.baseCPI /= t.ins
-		t.demand.RefsPerIns /= t.ins
-		t.demand.SoloMissRatio /= t.ins
+		t.act.BaseCPI /= t.ins
+		t.act.RefsPerIns /= t.ins
+		t.act.SoloMissRatio /= t.ins
 	}
 	return t
 }
@@ -162,4 +162,12 @@ func patternValue(tmpl []float64, i int, drift float64, anom bool) float64 {
 		v *= anomalyPatFactor
 	}
 	return v
+}
+
+// appendPattern appends a request's whole materialized pattern to buf.
+func appendPattern(buf, tmpl []float64, drift float64, anom bool) []float64 {
+	for i := range tmpl {
+		buf = append(buf, patternValue(tmpl, i, drift, anom))
+	}
+	return buf
 }
