@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: check vet maporder build test test-dist test-procs bench bench-json bench-smoke faults localize hypotheses verify verify-full golden golden-full cover fuzz
+.PHONY: check vet maporder build test test-dist test-procs bench bench-json bench-smoke perf-smoke faults localize hypotheses verify verify-full golden golden-full cover fuzz
 
 check: vet maporder build test test-dist bench
 
@@ -149,3 +149,18 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x -count 5 -benchmem . \
 		| $(GO) run ./cmd/benchjson -against BENCH_506f09d.json \
 			-mem-tolerance 3 -bytes-floor 1e6 -allocs-floor 10e3 -out /dev/null
+
+# perf-smoke runs the repository benchmark's own correctness gate
+# (conservation, traced-vs-untraced equality, repeat equality) on a 1 s run
+# of each workload. The last line perfbench prints is its JSON result; the
+# target fails unless every run reads "correct": true with 0 failed
+# operations. About 30 s on 2 vCPUs once the benchmark binary is built.
+PERF_WORKLOADS = serve-steady fleet-crowd repro-pipeline
+perf-smoke:
+	@for w in $(PERF_WORKLOADS); do \
+		out=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0) || exit 1; \
+		last=$$(printf '%s\n' "$$out" | tail -n 1); \
+		echo "perf-smoke $$w: $$last"; \
+		printf '%s\n' "$$last" | python3 -c 'import json, sys; r = json.load(sys.stdin); sys.exit(r.get("correct") is not True or r.get("failed") != 0)' \
+			|| { echo "perf-smoke: $$w failed its correctness gate"; exit 1; }; \
+	done

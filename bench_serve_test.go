@@ -19,8 +19,8 @@ import (
 )
 
 // benchServeEngine builds a default engine and warms it past its first
-// compactions so pools, sessions, and matcher envelopes reach their
-// steady-state sizes before the timer starts. The engine keeps its
+// compactions so its pools reach their steady-state sizes before the
+// timer starts. The engine keeps its
 // identify-latency histogram only with a collector attached (col non-nil).
 func benchServeEngine(b *testing.B, workers int, col *obs.Collector) *serve.Engine {
 	b.Helper()
@@ -34,8 +34,8 @@ func benchServeEngine(b *testing.B, workers int, col *obs.Collector) *serve.Engi
 	b.Cleanup(e.Close)
 	// Warm through the burst window, a full beat period of the two load
 	// sinusoids (lcm of 50ms and 330ms ≈ 1.65s virtual ≈ 1.3M requests),
-	// and ≥16 compaction cycles, so every pool and session has seen peak
-	// depth and reached its steady-state size.
+	// and ≥16 compaction cycles, so every pool has seen peak depth and
+	// reached its steady-state size.
 	e.Process(1_700_000)
 	return e
 }
@@ -43,9 +43,9 @@ func benchServeEngine(b *testing.B, workers int, col *obs.Collector) *serve.Engi
 // BenchmarkServeSteadyState is the headline service-mode benchmark: 1M
 // simulated requests per op through the warmed pipeline, 0 allocs/op.
 // ns/op is the wall cost per million requests; p50/p99/p999-ns are the
-// identify-path latency quantiles over every timed call, so the engine runs
-// with a collector attached (BenchmarkObsOverhead/serve-off is the same
-// pipeline detached).
+// identify-path latency quantiles over every timed bank scan, so the
+// engine runs with a collector attached (BenchmarkObsOverhead/serve-off is
+// the same pipeline detached).
 func BenchmarkServeSteadyState(b *testing.B) {
 	for _, bc := range []struct {
 		name    string

@@ -72,6 +72,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "rbvrepro: -obs-sample must be at least 1, got 0")
 		return 2
 	}
+	if *verifyWorkers < 0 {
+		fmt.Fprintf(stderr, "rbvrepro: -verify-workers must be non-negative, got %d\n", *verifyWorkers)
+		return 2
+	}
 
 	var col *obs.Collector
 	if *jsonOut != "" || *traceOut {

@@ -94,6 +94,16 @@ func TestRunZeroObsSampleExitsTwo(t *testing.T) {
 	}
 }
 
+// A negative -verify-workers is a usage error naming the flag, not a
+// silent GOMAXPROCS run.
+func TestRunNegativeVerifyWorkersExitsTwo(t *testing.T) {
+	code, stdout, stderr := cli(t, "-verify-workers", "-3", "-verify")
+	want := "rbvrepro: -verify-workers must be non-negative, got -3"
+	if code != 2 || !strings.Contains(stderr, want) || stdout != "" {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 2 with %q", code, stdout, stderr, want)
+	}
+}
+
 func TestRunTracePrintsSummary(t *testing.T) {
 	code, stdout, stderr := cli(t, "-run", "faultanomaly", "-scale", "0.05", "-trace")
 	if code != 0 {

@@ -10,7 +10,7 @@
 //
 // The run processes -requests arrivals (whole ticks, then a drain), prints
 // the engine's deterministic result table, and appends the identify-path
-// latency profile (p50/p99/p999 wall nanoseconds per chunk identification
+// latency profile (p50/p99/p999 wall nanoseconds per identification scan
 // — the one output that is *not* deterministic, since it measures the real
 // clock). The engine times identification only with an obs collector
 // attached, so this command always attaches one. -spec overrides the
@@ -32,8 +32,10 @@
 // -policy picks the placement policy from the serve package's registry by
 // canonical name or alias: "round-robin" ("rr", the default), "contention-
 // easing" ("ease"), or "scale-out" ("scale", reactive node activation from
-// the queued-high saturation signal). The fleet runs on one goroutine and
-// ignores -workers; its results are bit-identical across repeats.
+// the queued-high saturation signal). -policy without -topology is a usage
+// error (exit 2): the single-node engine has no placement policy. The
+// fleet runs on one goroutine and ignores -workers; its results are
+// bit-identical across repeats.
 package main
 
 import (
@@ -79,6 +81,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *topoSpec != "" {
 		return runFleet(*topoSpec, *policy, *seed, *requests, *spec, stdout, stderr)
+	}
+	policySet := false
+	fs.Visit(func(f *flag.Flag) { policySet = policySet || f.Name == "policy" })
+	if policySet {
+		fmt.Fprintln(stderr, "rbvserve: -policy needs -topology: the single-node engine has no placement policy")
+		return 2
 	}
 
 	cfg := serve.DefaultConfig(*seed)

@@ -73,6 +73,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if code, _, errs := cli(t, "-workers", "-3"); code != 2 || !strings.Contains(errs, "-workers") {
 		t.Errorf("-workers -3 accepted (exit %d, stderr %q)", code, errs)
 	}
+	if code, _, errs := cli(t, "-policy", "scale"); code != 2 || !strings.Contains(errs, "-policy") || !strings.Contains(errs, "-topology") {
+		t.Errorf("-policy without -topology accepted (exit %d, stderr %q)", code, errs)
+	}
 }
 
 func TestRunTrace(t *testing.T) {

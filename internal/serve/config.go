@@ -2,8 +2,8 @@
 // signature identification, k-medoids bank construction, anomaly
 // detection — run online over a continuous deterministic request stream.
 // The engine advances a virtual clock in fixed ticks; each tick ingests
-// arrivals under admission control, feeds queued requests through the
-// sharded identification cascade in parallel, and periodically recompacts
+// arrivals under admission control, advances queued requests through
+// sharded signature identification in parallel, and periodically recompacts
 // the signature bank from a sliding window of recent traffic, recalibrating
 // the anomaly threshold as the workload drifts.
 //
@@ -11,10 +11,9 @@
 // bit-identical across repeats and GOMAXPROCS settings. Parallelism only
 // changes wall-clock time — each shard's work is independent, and all
 // cross-shard aggregation happens serially in shard order. The steady
-// state allocates nothing: queues are preallocated, each shard reuses its
-// one identification session for every request, and compaction runs
-// entirely in pooled scratch (distance.Matrix.Fill, cluster.Scratch,
-// Matcher.Rebuild).
+// state allocates nothing: queues and each shard's pattern buffer are
+// preallocated, and compaction runs entirely in pooled scratch
+// (distance.Matrix.Fill, cluster.Scratch).
 package serve
 
 import (
@@ -33,7 +32,7 @@ type Config struct {
 	Stream workload.StreamConfig
 
 	// Shards is the number of virtual service cores (rounded up to a power
-	// of two). Each shard has its own request queue, session, and a
+	// of two). Each shard has its own request queue and a
 	// per-tick processing budget of TickNs virtual nanoseconds, so total
 	// virtual capacity is Shards×TickNs per tick.
 	Shards int

@@ -4,16 +4,16 @@
 //     each to a shard, and either enqueue it — degraded past DegradeDepth —
 //     or shed it when the shard queue is full.
 //  2. Process (parallel): shard workers burn their per-tick virtual budget
-//     on their own queues, oldest request first, feeding pattern chunks
-//     through the shard's one identification session. Shards are claimed
-//     off an atomic counter by a persistent worker pool; every shard's
-//     work is a pure function of its queue, so worker scheduling cannot
-//     change results.
+//     on their own queues, oldest request first, charging each pattern
+//     chunk's virtual cost and scanning the bank only on the two chunks
+//     whose match a request reads (its half point and its last chunk).
+//     Shards are claimed off an atomic counter by a persistent worker
+//     pool; every shard's work is a pure function of its queue, so worker
+//     scheduling cannot change results.
 //  3. Aggregate (serial, shard order): merge tick tallies, append
 //     completions to the sliding window, compact queues, and — every
 //     CompactTicks — rebuild the signature bank and recalibrate the
-//     anomaly threshold (bank.go), then rebind the matcher and every
-//     shard's session to the new bank.
+//     anomaly threshold (bank.go), then refresh the degraded-path cache.
 package serve
 
 import (
@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/signature"
 	"repro/internal/workload"
 )
 
@@ -54,17 +53,12 @@ type shardTally struct {
 	scoreSum          float64
 }
 
-// shardState is one virtual service core: its queue, identification
-// session, chunk scratch, tick tally, and completion buffer. Only its
-// owning worker touches it during the parallel phase.
+// shardState is one virtual service core: its queue, pattern scratch, tick
+// tally, and completion buffer. Only its owning worker touches it during
+// the parallel phase.
 type shardState struct {
-	q []req
-	// ses is the identification state of the queue head. A shard stops at
-	// the first request its budget cannot finish, so only q[0] can be
-	// mid-identification; every other request either completed this tick
-	// or has not started. One session per shard therefore serves them all.
-	ses    *signature.Session
-	chunk  []float64
+	q      []req
+	patBuf []float64 // materialized pattern of the request being scanned
 	winBuf []winRec
 	tally  shardTally
 	done   int // requests completed this tick: always a prefix of q
@@ -84,7 +78,6 @@ type Engine struct {
 	// it at constant cost.
 	tmplCache [][]tmplMatch
 
-	matcher *signature.Matcher
 	// bm owns the signature bank, its anomaly threshold, and the sliding
 	// window that feeds compaction.
 	bm *bankMaintainer
@@ -108,12 +101,11 @@ type Engine struct {
 
 	hist                                              *obs.Histogram
 	cArrivals, cShed, cDegraded, cCompleted, cFlagged *obs.Counter
-	cSessionsReused                                   *obs.Counter
 }
 
 // New builds the engine: template libraries, the initial signature bank
-// (the templates themselves, so identification works from tick zero), one
-// identification session per shard, and the persistent worker pool.
+// (the templates themselves, so identification works from tick zero), the
+// shard queues, and the persistent worker pool.
 func New(cfg Config) (*Engine, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -139,24 +131,17 @@ func New(cfg Config) (*Engine, error) {
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.q = make([]req, 0, cfg.QueueCap)
-		sh.chunk = make([]float64, cfg.ChunkBuckets)
+		sh.patBuf = make([]float64, 0, cfg.MaxPatternLen)
 		sh.winBuf = make([]winRec, 0, cfg.QueueCap)
 	}
 	e.tmplCache = make([][]tmplMatch, len(tmpl))
 	for a := range tmpl {
 		e.tmplCache[a] = make([]tmplMatch, len(tmpl[a]))
 	}
-	e.buildMatcher()
-	for i := range e.shards {
-		e.shards[i].ses = e.matcher.NewSession()
-		e.shards[i].ses.SetObserver(cfg.Obs)
-	}
 	e.refreshTemplateCache()
 	if c := cfg.Obs; c != nil {
 		e.hist = obs.NewHistogram("serve.identify.ns")
 		c.RegisterHistogram(e.hist)
-		c.Counter("signature.sessions.created").Add(uint64(len(e.shards)))
-		e.cSessionsReused = c.Counter("signature.sessions.reused")
 		e.cArrivals = c.Counter("serve.arrivals")
 		e.cShed = c.Counter("serve.shed")
 		e.cDegraded = c.Counter("serve.degraded")
@@ -185,25 +170,6 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 	return e, nil
-}
-
-// buildMatcher points the matcher at the template bank. It first pre-sizes
-// the matcher's envelope against a worst-case bank — as many entries as the
-// larger of the template bank and the compacted bank, every pattern at the
-// length cap: Rebuild only reuses per-slot storage that is already big
-// enough, so seeding every slot at the cap makes all later compaction
-// rebuilds allocation-free no matter which medoid lengths they draw.
-func (e *Engine) buildMatcher() {
-	e.matcher = &signature.Matcher{}
-	if k := max(e.cfg.BankK, len(e.bm.bank.Entries)); k > 0 {
-		warm := &signature.Bank{Entries: make([]signature.Entry, k)}
-		full := make([]float64, e.cfg.MaxPatternLen)
-		for i := range warm.Entries {
-			warm.Entries[i].Pattern = full
-		}
-		e.matcher.Rebuild(warm)
-	}
-	e.matcher.Rebuild(e.bm.bank)
 }
 
 // refreshTemplateCache re-identifies every template against the current
@@ -289,15 +255,9 @@ func (e *Engine) runTick(ingest bool) int {
 	e.nowNs = tickEnd
 	e.tick++
 	if e.tick%uint64(e.cfg.CompactTicks) == 0 && e.bm.compact() {
-		// Swap the bank under live traffic: rebuild the envelope in place,
-		// rebind every shard's session (a mid-identification head's next
-		// identification re-runs its full prefix against the new bank,
-		// bit-identical to a fresh session), and refresh the degraded-path
-		// cache.
-		e.matcher.Rebuild(e.bm.bank)
-		for i := range e.shards {
-			e.shards[i].ses.Rebind(e.matcher)
-		}
+		// Swap the bank under live traffic. A mid-identification head
+		// carries no match state, so its next scan simply reads the new
+		// bank; only the degraded-path cache needs refreshing.
 		e.refreshTemplateCache()
 	}
 	return arrivals
@@ -391,27 +351,27 @@ func (e *Engine) processShard(sh *shardState) {
 				return
 			}
 			budget -= cost
-			if r.pos == 0 {
-				sh.ses.Reset()
-				e.cSessionsReused.Add(1)
+			r.pos += nb
+			// The match is read at two points only: the half-pattern CPU
+			// prediction and the completion score. Other chunks just pay
+			// their virtual cost; when both points fall on one chunk, one
+			// scan serves both.
+			half := !r.predDone && r.pos >= (r.patLen+1)/2
+			if !half && r.pos < r.patLen {
+				continue
 			}
-			pat := e.tmpl[r.app][r.tmpl].pattern
-			for k := int32(0); k < nb; k++ {
-				sh.chunk[k] = patternValue(pat, int(r.pos+k), r.drift, r.anom)
-			}
+			sh.patBuf = appendPattern(sh.patBuf[:0], e.tmpl[r.app][r.tmpl].pattern, r.drift, r.anom)
 			// The host clock is read only for an attached collector; a
 			// detached engine pays a nil check here, as every other hook does.
 			var t0 time.Time
 			if e.hist != nil {
 				t0 = time.Now()
 			}
-			sh.ses.Extend(sh.chunk[:nb]...)
-			best, dist := sh.ses.Best(), sh.ses.BestDistance()
+			best, dist := e.bm.bank.IdentifyPatternScored(sh.patBuf[:r.pos])
 			if e.hist != nil {
 				e.hist.Observe(int64(time.Since(t0)))
 			}
-			r.pos += nb
-			if !r.predDone && r.pos >= (r.patLen+1)/2 {
+			if half {
 				r.predDone = true
 				r.predHigh = e.bm.bank.HighUsage(best)
 				sh.tally.early++
@@ -486,7 +446,8 @@ func (e *Engine) Queued() int {
 }
 
 // Histogram returns the identify-path latency histogram: wall-clock
-// nanoseconds per chunk identification, observability only and never
+// nanoseconds per bank scan (at most two per request), observability only
+// and never
 // fingerprinted. It is nil, and reads as empty, unless the engine was built
 // with a collector (Config.Obs); a detached engine never reads the host
 // clock.

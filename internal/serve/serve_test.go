@@ -142,31 +142,56 @@ func TestEngineOverdrive(t *testing.T) {
 
 // TestEngineSteadyStateAllocs: once warmed past the first compactions,
 // processing allocates nothing — the headline property of the service
-// mode.
+// mode. The second leg overloads the shards with two-bucket chunks, so
+// queue heads stay mid-identification across ticks and compactions.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation steady state needs a long warmup")
 	}
-	cfg := testConfig(5)
-	cfg.Workers = 1 // AllocsPerRun must see every allocation on one goroutine
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	base := testConfig(5)
+	legs := []struct {
+		chunk int
+		rate  float64
+	}{
+		{base.ChunkBuckets, base.Stream.RatePerSec},
+		{2, 3_000_000},
 	}
-	defer e.Close()
-	e.Process(120_000) // warm: pools grown, several compactions done
-	allocs := testing.AllocsPerRun(5, func() {
-		e.Process(20_000)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Process allocates %v per 20k requests, want 0", allocs)
+	for _, leg := range legs {
+		cfg := testConfig(5)
+		cfg.ChunkBuckets = leg.chunk
+		cfg.Stream.RatePerSec = leg.rate
+		cfg.Workers = 1 // AllocsPerRun must see every allocation on one goroutine
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Process(120_000) // warm: pools grown, several compactions done
+		var midHeads int
+		allocs := testing.AllocsPerRun(5, func() {
+			for tick := 0; tick < 2*cfg.CompactTicks; tick++ {
+				e.runTick(true)
+				for s := range e.shards {
+					if q := e.shards[s].q; len(q) > 0 && q[0].pos > 0 && q[0].pos < q[0].patLen {
+						midHeads++
+					}
+				}
+			}
+		})
+		e.Close()
+		if allocs != 0 {
+			t.Fatalf("ChunkBuckets=%d: steady-state ticks allocate %v per %d ticks, want 0", leg.chunk, allocs, 2*cfg.CompactTicks)
+		}
+		if leg.chunk == 2 && midHeads == 0 {
+			t.Fatal("two-bucket leg never left a head mid-identification")
+		}
 	}
 }
 
-// TestEngineOneSessionPerShard pins the property one session per shard
-// rests on: after every tick, at most one request per shard is
-// mid-identification, and it is the queue head.
-func TestEngineOneSessionPerShard(t *testing.T) {
+// TestEngineOnlyQueueHeadMidIdentification: a shard stops at the first
+// request its budget cannot finish, so after every tick at most one
+// request per shard has consumed part of its pattern, and it is the queue
+// head. Queue compaction and FIFO order rest on this.
+func TestEngineOnlyQueueHeadMidIdentification(t *testing.T) {
 	cfg := testConfig(9)
 	cfg.Stream.RatePerSec = 3_000_000
 	// Template patterns are shorter than the default chunk; two-bucket
@@ -263,5 +288,56 @@ func TestConfigValidation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("want error naming %s, got %v", tc.want, err)
 		}
+	}
+}
+
+// TestEngineMultiChunkResultPinned pins the full Result of a run whose
+// requests span several identify chunks while banks swap under them: two-
+// bucket chunks and a 7-tick compaction period leave heads
+// mid-identification across compactions, so their half-point and
+// completion scans read a bank other than the one their first chunk saw.
+// The expected value was recorded from the per-chunk incremental session
+// that this path replaced; equality here is bit-for-bit (ScoreSum and
+// Threshold included).
+func TestEngineMultiChunkResultPinned(t *testing.T) {
+	cfg := testConfig(9)
+	cfg.Stream.RatePerSec = 3_000_000
+	cfg.ChunkBuckets = 2
+	cfg.CompactTicks = 7
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var swappedMid int
+	for tick := 0; tick < 300; tick++ {
+		compactions := e.bm.compactions
+		e.runTick(true)
+		if e.bm.compactions == compactions {
+			continue
+		}
+		for s := range e.shards {
+			if q := e.shards[s].q; len(q) > 0 && q[0].pos > 0 && q[0].pos < q[0].patLen {
+				swappedMid++
+			}
+		}
+	}
+	e.Drain()
+	if swappedMid == 0 {
+		t.Fatal("no bank swap landed under a mid-identification head")
+	}
+	want := Result{
+		Arrivals: 963397, Shed: 53946, Degraded: 486122,
+		Completed: 909451, CompletedDegraded: 486122,
+		EarlyPredictions: 909451, EarlyWrong: 22954,
+		Injected: 3603, Flagged: 3411, FlaggedInjected: 991,
+		ScoreSum:    1718.3921890353306,
+		Compactions: 43, Recalibrations: 43,
+		Ticks: 301, VirtualNs: 301000000,
+		MaxShardDepth: 1024, Queued: 0,
+		BankEntries: 16, Threshold: 0.005468565891084055, WindowFill: 256,
+	}
+	if got := e.Result(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("multi-chunk result moved (%d mid-identification swaps):\n got %+v\nwant %+v", swappedMid, got, want)
 	}
 }

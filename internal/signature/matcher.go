@@ -33,10 +33,8 @@ func NewMatcher(b *Bank) *Matcher {
 // Rebuild repoints the matcher at a (possibly new) bank, recomputing the
 // envelope in place and reusing the segment-sum storage — repeated
 // rebuilds over same-shaped banks reach an allocation-free steady state.
-// Rebuild breaks the immutability contract for its duration: the caller
-// must guarantee no Session is reading the matcher while it runs (the
-// serving pipeline rebuilds only in its serial compaction phase, then
-// rebinds every shard's session).
+// Rebuild breaks the immutability contract: Sessions started before it
+// must not be used afterwards; start new ones on the rebuilt matcher.
 func (m *Matcher) Rebuild(b *Bank) {
 	m.bank = b
 	if cap(m.segSums) >= len(b.Entries) {

@@ -101,35 +101,6 @@ func (s *Session) Reset() {
 // Len returns the number of buckets observed so far.
 func (s *Session) Len() int { return len(s.prefix) }
 
-// Rebind repoints the session at a new matcher (a swapped signature
-// bank), keeping the observed prefix. All per-entry accumulators reset to
-// zero, so the next identification catches every entry of the new bank up
-// over the full prefix — exactly the state a fresh session fed the same
-// prefix would reach, which keeps mid-flight requests' results identical
-// to IdentifyPattern against the new bank. Buffers are reused; a rebind
-// between same-sized banks allocates nothing.
-func (s *Session) Rebind(m *Matcher) {
-	s.m = m
-	n := len(m.bank.Entries)
-	if cap(s.acc) >= n {
-		s.acc = s.acc[:n]
-		s.done = s.done[:n]
-		s.lb = s.lb[:n]
-	} else {
-		s.acc = make([]float64, n)
-		s.done = make([]int, n)
-		s.lb = make([]float64, n)
-	}
-	for e := 0; e < n; e++ {
-		s.acc[e] = 0
-		s.done[e] = 0
-		s.lb[e] = 0
-	}
-	s.dirty = true
-	s.best = -1
-	s.bestD = math.Inf(1)
-}
-
 // Extend appends newly observed buckets to the partial pattern.
 func (s *Session) Extend(delta ...float64) {
 	if len(delta) == 0 {
@@ -171,13 +142,6 @@ func (s *Session) Update(prefix []float64) {
 func (s *Session) Best() int {
 	s.identify()
 	return s.best
-}
-
-// BestDistance returns the prefix-L1 distance of the best match
-// (+Inf for an empty bank).
-func (s *Session) BestDistance() float64 {
-	s.identify()
-	return s.bestD
 }
 
 // PredictHigh predicts whether the request's CPU consumption will exceed

@@ -92,7 +92,7 @@ func TestSessionMatchesNaive(t *testing.T) {
 			if want >= 0 {
 				wantD = prefixL1(prefix, bank.Entries[want].Pattern)
 			}
-			if got := cascaded.BestDistance(); got != wantD {
+			if got := cascaded.bestD; got != wantD {
 				t.Fatalf("trial %d len %d: best distance %v, naive %v", trial, pos, got, wantD)
 			}
 			if cascaded.PredictHigh() != bank.PredictHighUsage(prefix) {
