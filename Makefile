@@ -150,17 +150,19 @@ bench-smoke:
 		| $(GO) run ./cmd/benchjson -against BENCH_506f09d.json \
 			-mem-tolerance 3 -bytes-floor 1e6 -allocs-floor 10e3 -out /dev/null
 
-# perf-smoke runs the repository benchmark's own correctness gate
-# (conservation, traced-vs-untraced equality, repeat equality) on a 1 s run
-# of each workload. The last line perfbench prints is its JSON result; the
-# target fails unless every run reads "correct": true with 0 failed
-# operations. About 30 s on 2 vCPUs once the benchmark binary is built.
+# perf-smoke runs the repository benchmark's own correctness gate on a 1 s
+# untraced and a 1 s traced run of each workload: the untraced run checks
+# conservation and repeat equality, the traced run also traced-vs-untraced
+# equality and 1-vs-2-worker equality. The last line perfbench prints is
+# its JSON result; the target fails unless every run reads "correct": true
+# with 0 failed operations. About 60 s on 2 vCPUs once the benchmark
+# binary is built.
 PERF_WORKLOADS = serve-steady fleet-crowd repro-pipeline
 perf-smoke:
-	@for w in $(PERF_WORKLOADS); do \
-		out=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0) || exit 1; \
+	@for w in $(PERF_WORKLOADS); do for tr in 0 1; do \
+		out=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace $$tr) || exit 1; \
 		last=$$(printf '%s\n' "$$out" | tail -n 1); \
-		echo "perf-smoke $$w: $$last"; \
+		echo "perf-smoke $$w trace=$$tr: $$last"; \
 		printf '%s\n' "$$last" | python3 -c 'import json, sys; r = json.load(sys.stdin); sys.exit(r.get("correct") is not True or r.get("failed") != 0)' \
-			|| { echo "perf-smoke: $$w failed its correctness gate"; exit 1; }; \
-	done
+			|| { echo "perf-smoke: $$w (trace $$tr) failed its correctness gate"; exit 1; }; \
+	done; done

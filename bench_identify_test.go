@@ -4,8 +4,11 @@
 // CPU-usage prediction. Variants: the naive full rescan per update
 // (Bank.IdentifyPattern, which rescans the whole prefix against every entry
 // and only stops an entry's sum once it can no longer win) and the
-// session's pruned lower-bound cascade. A one-time golden check asserts the
-// cascade identifies exactly the same bank entries as the naive matcher.
+// streaming Session ("cascaded"), which keeps one exact prefix-L1
+// accumulator per entry and prunes in two stages: a cached partial sum that
+// already exceeds the best distance, then early-abandoning accumulation. A
+// one-time golden check asserts the session identifies exactly the same
+// bank entries as the naive matcher.
 //
 // Run with:
 //
@@ -68,7 +71,7 @@ func BenchmarkIdentify(b *testing.B) {
 	bank, streams := identifyFixture()
 	matcher := signature.NewMatcher(bank)
 
-	// Golden check: the cascade must match naive exactly at every prefix
+	// Golden check: the session must match naive exactly at every prefix
 	// length, ties and all.
 	cascaded := matcher.NewSession()
 	for _, stream := range streams {
@@ -106,7 +109,7 @@ func BenchmarkIdentify(b *testing.B) {
 	})
 }
 
-// BenchmarkIdentifyCompactBank quantifies bank compaction: the cascade
+// BenchmarkIdentifyCompactBank quantifies bank compaction: the session
 // over a medoid-compacted 64-entry bank versus the full 500 entries.
 func BenchmarkIdentifyCompactBank(b *testing.B) {
 	bank, streams := identifyFixture()

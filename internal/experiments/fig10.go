@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/metrics"
@@ -110,7 +108,7 @@ func Figure10(cfg Config) (*Figure10Result, error) {
 		for step := 1; step <= 10; step++ {
 			progress := float64(step) * unit
 			var patWrong, avgWrong atomic.Int64
-			forEachRequest(len(test), func(i int) {
+			err := forEachIndex(len(test), cfg.parallelizable(), func(i int) error {
 				tr := test[i]
 				actual := float64(tr.CPUTime()) > bank.ThresholdNs
 				prefix := prefixPattern(tr, metrics.L2RefsPerIns, progress, unit)
@@ -122,7 +120,11 @@ func Figure10(cfg Config) (*Figure10Result, error) {
 				if bank.PredictHighUsageByAverage(avg) != actual {
 					avgWrong.Add(1)
 				}
+				return nil
 			})
+			if err != nil {
+				return nil, err
+			}
 			fa.Steps = append(fa.Steps, step)
 			fa.PatternErr = append(fa.PatternErr, float64(patWrong.Load())/float64(len(test)))
 			fa.AverageErr = append(fa.AverageErr, float64(avgWrong.Load())/float64(len(test)))
@@ -130,37 +132,6 @@ func Figure10(cfg Config) (*Figure10Result, error) {
 		out.Apps = append(out.Apps, fa)
 	}
 	return out, nil
-}
-
-// forEachRequest runs fn(0..n-1) across a GOMAXPROCS worker pool. The
-// per-request work is independent, so the outcome is order-free.
-func forEachRequest(n int, fn func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // prefixPattern resamples the leading progress instructions of a trace.

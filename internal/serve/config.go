@@ -32,9 +32,10 @@ type Config struct {
 	Stream workload.StreamConfig
 
 	// Shards is the number of virtual service cores (rounded up to a power
-	// of two). Each shard has its own request queue and a
-	// per-tick processing budget of TickNs virtual nanoseconds, so total
-	// virtual capacity is Shards×TickNs per tick.
+	// of two; zero means 8, and a negative value is an error). Each shard
+	// has its own request queue and a per-tick processing budget of TickNs
+	// virtual nanoseconds, so total virtual capacity is Shards×TickNs per
+	// tick.
 	Shards int
 	// Workers bounds the real goroutines driving the shard phase; ≤0 means
 	// runtime.GOMAXPROCS(0). Workers changes wall-clock time only, never
@@ -138,7 +139,10 @@ func (c Config) normalize() (Config, error) {
 	if err := c.Stream.Validate(); err != nil {
 		return c, err
 	}
-	if c.Shards <= 0 {
+	if c.Shards < 0 {
+		return c, fmt.Errorf("serve: Shards must be non-negative, got %d", c.Shards)
+	}
+	if c.Shards == 0 {
 		c.Shards = 8
 	}
 	if c.Shards&(c.Shards-1) != 0 {

@@ -102,7 +102,8 @@ type FleetConfig struct {
 	CalibrationQuantile float64
 	CalibrationHeadroom float64
 	// ScoreSampleEvery identifies every Nth completed request against the
-	// node bank for anomaly flagging (1 = every request).
+	// node bank for anomaly flagging (1 = every request; zero means 1, and
+	// a negative value is an error).
 	ScoreSampleEvery int
 
 	// ScaleHighWater, ScaleLowWater, and ScaleCooldownTicks tune the
@@ -112,7 +113,8 @@ type FleetConfig struct {
 	// packages are saturated, and deactivates its newest node when the
 	// fleet-wide queued-high count per active core falls to ScaleLowWater
 	// and that node has drained. ScaleCooldownTicks separates consecutive
-	// scaling actions. Zero values take the defaults (2, 0.25, 25).
+	// scaling actions. Zero values take the defaults (2, 0.25, 25);
+	// negative values are errors.
 	ScaleHighWater     float64
 	ScaleLowWater      float64
 	ScaleCooldownTicks int
@@ -208,13 +210,22 @@ func (c FleetConfig) normalize() (FleetConfig, error) {
 	if math.IsNaN(c.ScaleLowWater) || math.IsInf(c.ScaleLowWater, 0) {
 		return c, fmt.Errorf("serve: FleetConfig.ScaleLowWater must be finite, got %v", c.ScaleLowWater)
 	}
-	if c.ScaleHighWater <= 0 {
+	if c.ScaleHighWater < 0 {
+		return c, fmt.Errorf("serve: FleetConfig.ScaleHighWater must be non-negative, got %g", c.ScaleHighWater)
+	}
+	if c.ScaleLowWater < 0 {
+		return c, fmt.Errorf("serve: FleetConfig.ScaleLowWater must be non-negative, got %g", c.ScaleLowWater)
+	}
+	if c.ScaleCooldownTicks < 0 {
+		return c, fmt.Errorf("serve: FleetConfig.ScaleCooldownTicks must be non-negative, got %d", c.ScaleCooldownTicks)
+	}
+	if c.ScaleHighWater == 0 {
 		c.ScaleHighWater = 2
 	}
-	if c.ScaleLowWater <= 0 {
+	if c.ScaleLowWater == 0 {
 		c.ScaleLowWater = 0.25
 	}
-	if c.ScaleCooldownTicks <= 0 {
+	if c.ScaleCooldownTicks == 0 {
 		c.ScaleCooldownTicks = 25
 	}
 	if c.ScaleLowWater >= c.ScaleHighWater {
@@ -231,7 +242,10 @@ func (c FleetConfig) normalize() (FleetConfig, error) {
 	if c.MergeEvery < 0 {
 		return c, fmt.Errorf("serve: FleetConfig.MergeEvery must be non-negative, got %d", c.MergeEvery)
 	}
-	if c.ScoreSampleEvery <= 0 {
+	if c.ScoreSampleEvery < 0 {
+		return c, fmt.Errorf("serve: FleetConfig.ScoreSampleEvery must be non-negative, got %d", c.ScoreSampleEvery)
+	}
+	if c.ScoreSampleEvery == 0 {
 		c.ScoreSampleEvery = 1
 	}
 	return c, nil

@@ -248,6 +248,10 @@ func TestFleetConfigValidation(t *testing.T) {
 		{func(c *FleetConfig) { c.ScaleLowWater = math.NaN() }, "FleetConfig.ScaleLowWater"},
 		{func(c *FleetConfig) { c.ScaleLowWater = math.Inf(1) }, "FleetConfig.ScaleLowWater"},
 		{func(c *FleetConfig) { c.ScaleLowWater = math.Inf(-1) }, "FleetConfig.ScaleLowWater"},
+		{func(c *FleetConfig) { c.ScaleHighWater = -1 }, "FleetConfig.ScaleHighWater"},
+		{func(c *FleetConfig) { c.ScaleLowWater = -0.5 }, "FleetConfig.ScaleLowWater"},
+		{func(c *FleetConfig) { c.ScaleCooldownTicks = -1 }, "FleetConfig.ScaleCooldownTicks"},
+		{func(c *FleetConfig) { c.ScoreSampleEvery = -1 }, "FleetConfig.ScoreSampleEvery"},
 	}
 	for _, tc := range cases {
 		cfg := DefaultFleetConfig(1)
@@ -256,6 +260,13 @@ func TestFleetConfigValidation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("want error naming %s, got %v", tc.want, err)
 		}
+	}
+	cfg := DefaultFleetConfig(1)
+	cfg.ScoreSampleEvery, cfg.ScaleHighWater, cfg.ScaleLowWater, cfg.ScaleCooldownTicks = 0, 0, 0, 0
+	got, err := cfg.normalize()
+	if err != nil || got.ScoreSampleEvery != 1 || got.ScaleHighWater != 2 || got.ScaleLowWater != 0.25 || got.ScaleCooldownTicks != 25 {
+		t.Fatalf("zero values should take the defaults (1, 2, 0.25, 25), got (%d, %g, %g, %d), %v",
+			got.ScoreSampleEvery, got.ScaleHighWater, got.ScaleLowWater, got.ScaleCooldownTicks, err)
 	}
 }
 

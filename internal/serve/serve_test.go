@@ -263,6 +263,7 @@ func TestConfigValidation(t *testing.T) {
 		want string
 	}{
 		{func(c *Config) { c.Stream.RatePerSec = 0 }, "stream rate"},
+		{func(c *Config) { c.Shards = -1 }, "serve: Shards"},
 		{func(c *Config) { c.TickNs = 0 }, "serve: TickNs"},
 		{func(c *Config) { c.QueueCap = -1 }, "serve: QueueCap"},
 		{func(c *Config) { c.DegradeDepth = 0 }, "serve: DegradeDepth"},
@@ -288,6 +289,11 @@ func TestConfigValidation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("want error naming %s, got %v", tc.want, err)
 		}
+	}
+	cfg := DefaultConfig(1)
+	cfg.Shards = 0
+	if got, err := cfg.normalize(); err != nil || got.Shards != 8 {
+		t.Fatalf("zero Shards: got %d, %v; want the default 8", got.Shards, err)
 	}
 }
 

@@ -24,15 +24,13 @@ import (
 	"repro/internal/obs"
 )
 
-// sessionObs holds resolved counters for the identification cascade's three
-// prune stages. The counters are atomic, so sessions attached to one
-// collector may share them across goroutines, and a nil pointer — the
-// default for a session without a collector — costs one branch per
-// identification.
+// sessionObs holds resolved counters for identification's two prune
+// stages. The counters are atomic, so sessions attached to one collector
+// may share them across goroutines, and a nil pointer — the default for a
+// session without a collector — costs one branch per identification.
 type sessionObs struct {
-	cachedPruned *obs.Counter // stage 1: cached lower bound won
-	paaPruned    *obs.Counter // stage 2: piecewise-aggregate bound won
-	abandoned    *obs.Counter // stage 3: exact accumulation abandoned early
+	cachedPruned *obs.Counter // stage 1: the cached partial sum already lost
+	abandoned    *obs.Counter // stage 2: exact accumulation abandoned early
 }
 
 // Session is one in-flight request's incremental matching state against a
@@ -43,16 +41,13 @@ type Session struct {
 	m      *Matcher
 	obs    *sessionObs
 	prefix []float64 // buckets observed so far
-	segP   []float64 // complete-segment sums of prefix (paaSegment wide)
-	acc    []float64 // per-entry exact L1 sum over prefix[:done[e]]
-	done   []int     // per-entry accumulated bucket count
-	// lb caches each entry's best-known lower bound on its current
-	// distance. Prefix-L1 distances only grow as the prefix grows, so a
-	// bound computed at any earlier prefix stays valid — a candidate
-	// pruned by the piecewise-aggregate bound then costs one comparison
-	// per update until the best distance overtakes its cached bound,
-	// instead of a fresh bound evaluation every time.
-	lb    []float64
+	// acc[e] is entry e's exact L1 sum over prefix[:done[e]]. Prefix-L1
+	// distances only grow as the prefix grows, so a sum paused at any
+	// earlier prefix stays a lower bound of the entry's current distance:
+	// a losing candidate costs one comparison per update until the best
+	// distance overtakes its partial sum.
+	acc   []float64
+	done  []int // per-entry accumulated bucket count
 	dirty bool
 	best  int
 	bestD float64
@@ -64,21 +59,19 @@ func (m *Matcher) NewSession() *Session {
 		m:    m,
 		acc:  make([]float64, len(m.bank.Entries)),
 		done: make([]int, len(m.bank.Entries)),
-		lb:   make([]float64, len(m.bank.Entries)),
 	}
 	s.Reset()
 	return s
 }
 
-// SetObserver attaches the cascade's prune counters from the collector; a
-// nil collector leaves the session uninstrumented.
+// SetObserver attaches the prune counters from the collector; a nil
+// collector leaves the session uninstrumented.
 func (s *Session) SetObserver(c *obs.Collector) {
 	if c == nil {
 		return
 	}
 	s.obs = &sessionObs{
 		cachedPruned: c.Counter("signature.prune.cached_lb"),
-		paaPruned:    c.Counter("signature.prune.paa_bound"),
 		abandoned:    c.Counter("signature.prune.abandoned"),
 	}
 }
@@ -87,12 +80,8 @@ func (s *Session) SetObserver(c *obs.Collector) {
 // for reuse.
 func (s *Session) Reset() {
 	s.prefix = s.prefix[:0]
-	s.segP = s.segP[:0]
-	for e := range s.acc {
-		s.acc[e] = 0
-		s.done[e] = 0
-		s.lb[e] = 0
-	}
+	clear(s.acc)
+	clear(s.done)
 	s.dirty = true
 	s.best = -1
 	s.bestD = math.Inf(1)
@@ -108,14 +97,6 @@ func (s *Session) Extend(delta ...float64) {
 	}
 	s.dirty = true
 	s.prefix = append(s.prefix, delta...)
-	for len(s.segP)*paaSegment+paaSegment <= len(s.prefix) {
-		base := len(s.segP) * paaSegment
-		var sum float64
-		for i := base; i < base+paaSegment; i++ {
-			sum += s.prefix[i]
-		}
-		s.segP = append(s.segP, sum)
-	}
 }
 
 // Update synchronizes the session to an externally recomputed prefix. The
@@ -164,48 +145,33 @@ func (s *Session) identify() {
 	// Seed the bound with the previous winner: its distance only grew by
 	// the new buckets, and it usually still wins, so the scan starts with
 	// a tight bestD and most candidates die on a single comparison.
-	seed := s.best
-	if seed < 0 {
-		seed = 0
-	}
-	bestIdx, bestD := seed, s.catchUp(seed)
-	s.lb[seed] = s.acc[seed]
+	seed := max(s.best, 0)
+	s.catchUpAbandon(seed, math.Inf(1))
+	bestIdx, bestD := seed, s.acc[seed]
 	n := len(s.prefix)
 	// Prune tallies accumulate in locals and flush to the shared atomic
 	// counters once per identification, so an attached collector costs
-	// three adds per call, not one per pruned candidate.
-	var cachedPruned, paaPruned, abandoned uint64
+	// two adds per call, not one per pruned candidate.
+	var cachedPruned, abandoned uint64
 	for e := 0; e < ne; e++ {
 		if e == seed {
 			continue
 		}
-		// Cascade stage 1: the cached lower bound (exact partial sum or an
-		// earlier envelope bound) kills dead candidates on one comparison.
-		if v := s.lb[e]; v > bestD || (v == bestD && e > bestIdx) {
+		// Stage 1: the cached partial sum kills dead candidates on one
+		// comparison.
+		if v := s.acc[e]; v > bestD || (v == bestD && e > bestIdx) {
 			cachedPruned++
 			continue
 		}
-		if s.done[e] < n {
-			// Stage 2: refresh the cheap piecewise-aggregate bound over
-			// the unaccumulated gap, and cache it.
-			lb := s.acc[e] + s.m.paaRemaining(e, s.done[e], s.segP)
-			s.lb[e] = lb
-			if lb > bestD || (lb == bestD && e > bestIdx) {
-				paaPruned++
-				continue
-			}
-			// Stage 3: exact accumulation with early abandoning. The
-			// abandon deadline overshoots bestD so a losing candidate's
-			// accumulator lands well above the bound and stays pruned at
-			// stage 1 until bestD genuinely overtakes it — without the
-			// overshoot, the bound's steady growth would revive every
-			// candidate on every update.
-			complete := s.catchUpAbandon(e, 2*bestD)
-			s.lb[e] = s.acc[e]
-			if !complete {
-				abandoned++
-				continue
-			}
+		// Stage 2: exact accumulation with early abandoning. The abandon
+		// deadline overshoots bestD so a losing candidate's accumulator
+		// lands well above the bound and stays pruned at stage 1 until
+		// bestD genuinely overtakes it — without the overshoot, the
+		// bound's steady growth would revive every candidate on every
+		// update.
+		if s.done[e] < n && !s.catchUpAbandon(e, 2*bestD) {
+			abandoned++
+			continue
 		}
 		if d := s.acc[e]; d < bestD || (d == bestD && e < bestIdx) {
 			bestIdx, bestD = e, d
@@ -213,34 +179,17 @@ func (s *Session) identify() {
 	}
 	if s.obs != nil {
 		s.obs.cachedPruned.Add(cachedPruned)
-		s.obs.paaPruned.Add(paaPruned)
 		s.obs.abandoned.Add(abandoned)
 	}
 	s.best, s.bestD = bestIdx, bestD
 }
 
-// catchUp accumulates entry e's distance over all unconsumed buckets and
-// returns the exact prefix-L1 distance.
-func (s *Session) catchUp(e int) float64 {
-	pat := s.m.bank.Entries[e].Pattern
-	acc := s.acc[e]
-	for i := s.done[e]; i < len(s.prefix); i++ {
-		if i < len(pat) {
-			acc += math.Abs(s.prefix[i] - pat[i])
-		} else {
-			acc += math.Abs(s.prefix[i])
-		}
-	}
-	s.acc[e] = acc
-	s.done[e] = len(s.prefix)
-	return acc
-}
-
-// catchUpAbandon accumulates entry e like catchUp but abandons once the
-// partial sum exceeds limit (≥ the best distance, so an abandoned entry
-// provably loses). It reports whether the accumulation ran to completion;
-// either way acc/done stay exact for the consumed buckets, so later rounds
-// resume where it stopped. Abandonment never decides the winner — a
+// catchUpAbandon accumulates entry e's distance over the unconsumed
+// buckets, replaying prefixL1's additions, but abandons once the partial
+// sum exceeds limit (≥ the best distance, so an abandoned entry provably
+// loses; +Inf never abandons). It reports whether the accumulation ran to
+// completion; either way acc/done stay exact for the consumed buckets, so
+// later rounds resume where it stopped. Abandonment never decides the winner — a
 // completed entry is still adopted by the caller's exact comparison — so
 // the limit choice only trades when work happens.
 func (s *Session) catchUpAbandon(e int, limit float64) bool {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -213,6 +214,37 @@ func TestSessionIncrementalExtend(t *testing.T) {
 		s.Extend(v)
 		if got, want := s.Best(), bank.IdentifyPattern(stream[:i+1]); got != want {
 			t.Fatalf("bucket %d: best %d, naive %d", i, got, want)
+		}
+	}
+}
+
+// TestSessionReuseAllocatesNothing: once its prefix buffer has grown, a
+// session reused across requests — Reset, one Extend per bucket, Best
+// after each — allocates nothing, with or without a collector attached.
+// sched.SignatureSessions pools sessions on this.
+func TestSessionReuseAllocatesNothing(t *testing.T) {
+	g := sim.NewRNG(31)
+	bank := randomBank(g, 64, 48)
+	streams := make([][]float64, 8)
+	for i := range streams {
+		streams[i] = randomStream(g, bank, 64)
+	}
+	for _, col := range []*obs.Collector{nil, obs.New("test")} {
+		s := NewMatcher(bank).NewSession()
+		s.SetObserver(col)
+		run := func() {
+			for _, stream := range streams {
+				s.Reset()
+				for _, v := range stream {
+					s.Extend(v)
+					s.Best()
+				}
+			}
+		}
+		run()
+		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+			t.Fatalf("collector %v: reused session allocates %v objects per %d streams, want 0",
+				col != nil, allocs, len(streams))
 		}
 	}
 }

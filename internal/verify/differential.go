@@ -225,8 +225,8 @@ func checkSessionNaive(seed int64) error {
 // step the same best index as the naive scan of the current bank, and the
 // bank's own early-abandoning IdentifyPatternScored, the scan the serving
 // engine runs, must give that index and bitwise the same distance. A bank
-// swap (the matcher rebuilt in place) may land mid-request; the session
-// then restarts on the rebuilt matcher from the prefix observed so far.
+// swap may land mid-request; the session then restarts on a new matcher
+// over the new bank from the prefix observed so far.
 func checkReusedSessionNaive(seed int64) error {
 	r := rand.New(rand.NewSource(seed))
 	bank := randBank(r)
@@ -238,7 +238,7 @@ func checkReusedSessionNaive(seed int64) error {
 		for step, n := 0, 1+r.Intn(8); step < n; step++ {
 			if r.Intn(4) == 0 {
 				bank = randBank(r)
-				m.Rebuild(bank)
+				m = signature.NewMatcher(bank)
 				s = m.NewSession()
 				s.Extend(prefix...)
 			}
