@@ -18,7 +18,6 @@ func (k *Kernel) startStage(run *RequestRun, tier int) {
 	for i, w := range run.waiters {
 		if w.Tier == tier && w.resumePhase == run.phase {
 			run.waiters = append(run.waiters[:i], run.waiters[i+1:]...)
-			w.State = Runnable
 			k.enqueue(w)
 			return
 		}
@@ -30,7 +29,6 @@ func (k *Kernel) startStage(run *RequestRun, tier int) {
 		w := k.idleWorkers[tier][n-1]
 		k.idleWorkers[tier] = k.idleWorkers[tier][:n-1]
 		w.Run = run
-		w.State = Runnable
 		k.enqueue(w)
 		return
 	}
@@ -92,7 +90,6 @@ func (k *Kernel) dispatch(c *coreState) {
 // request-context-switch-in sampling hook, charges switch costs, and arms
 // the quantum and execution breakpoint.
 func (k *Kernel) switchIn(c *coreState, t *Thread) {
-	t.State = Running
 	c.cur = t
 	run := t.Run
 	if !run.started {
@@ -154,7 +151,6 @@ func (k *Kernel) switchOut(c *coreState) *Thread {
 	c.quantum.Stop()
 	c.brk.Stop()
 	c.cur = nil
-	t.State = Runnable
 	return t
 }
 
@@ -364,7 +360,6 @@ func (k *Kernel) handleSyscall(c *coreState, call trace.Syscall, blockProb, bloc
 // after the given duration.
 func (k *Kernel) blockForIO(c *coreState, d sim.Time) {
 	t := k.switchOut(c)
-	t.State = Blocked
 	t.wake.Arm(d)
 	k.dispatchIfFree(c)
 }
@@ -412,7 +407,6 @@ func (k *Kernel) advancePhase(c *coreState) {
 		}
 		prev := k.switchOut(c)
 		if resume >= 0 {
-			prev.State = Blocked
 			prev.resumePhase = resume
 			run.waiters = append(run.waiters, prev)
 		} else {
@@ -478,13 +472,11 @@ func (k *Kernel) finishRequest(c *coreState) {
 // next pending stage.
 func (k *Kernel) releaseWorker(t *Thread) {
 	t.Run = nil
-	t.State = Idle
 	tier := t.Tier
 	if n := len(k.pendingStage[tier]); n > 0 {
 		run := k.pendingStage[tier][0]
 		k.pendingStage[tier] = k.pendingStage[tier][1:]
 		t.Run = run
-		t.State = Runnable
 		k.enqueue(t)
 		return
 	}

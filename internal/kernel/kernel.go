@@ -69,47 +69,17 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// ThreadState is a worker thread's scheduling state.
-type ThreadState int
-
-const (
-	// Idle means the worker has no request stage to run.
-	Idle ThreadState = iota
-	// Runnable means the thread waits on a runqueue.
-	Runnable
-	// Running means the thread is current on a core.
-	Running
-	// Blocked means the thread waits on I/O or on a downstream tier.
-	Blocked
-)
-
-func (s ThreadState) String() string {
-	switch s {
-	case Idle:
-		return "idle"
-	case Runnable:
-		return "runnable"
-	case Running:
-		return "running"
-	case Blocked:
-		return "blocked"
-	default:
-		return fmt.Sprintf("ThreadState(%d)", int(s))
-	}
-}
-
 // Thread is a server worker process/thread.
 type Thread struct {
-	ID    int
-	Tier  int
-	State ThreadState
+	ID   int
+	Tier int
 	// Run is the request execution the thread currently hosts (nil when
 	// idle).
 	Run *RequestRun
 	// core is the thread's home core (-1 before first placement). Threads
 	// do not migrate, matching the paper's scheduler.
 	core int
-	// resumePhase, while Blocked waiting for the request to come back to
+	// resumePhase, while blocked waiting for the request to come back to
 	// this tier, is the phase index at which this thread resumes.
 	resumePhase int
 	// wake is the thread's reusable I/O-completion timer. A thread blocks
@@ -293,11 +263,8 @@ func (k *Kernel) AddWorkers(tier, n int) {
 		k.pendingStage = append(k.pendingStage, nil)
 	}
 	for i := 0; i < n; i++ {
-		t := &Thread{ID: k.nextThreadID, Tier: tier, State: Idle, core: -1}
-		t.wake = k.eng.NewTimer(func() {
-			t.State = Runnable
-			k.enqueue(t)
-		})
+		t := &Thread{ID: k.nextThreadID, Tier: tier, core: -1}
+		t.wake = k.eng.NewTimer(func() { k.enqueue(t) })
 		k.nextThreadID++
 		k.idleWorkers[tier] = append(k.idleWorkers[tier], t)
 	}

@@ -305,13 +305,3 @@ func TestSubmitEmptyRequestPanics(t *testing.T) {
 	}()
 	k.Submit(&workload.Request{ID: 1, RNG: sim.NewRNG(1)})
 }
-
-func TestThreadStateString(t *testing.T) {
-	for s, want := range map[ThreadState]string{
-		Idle: "idle", Runnable: "runnable", Running: "running", Blocked: "blocked",
-	} {
-		if s.String() != want {
-			t.Errorf("%d.String() = %q", int(s), s.String())
-		}
-	}
-}

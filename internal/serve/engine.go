@@ -180,7 +180,7 @@ func (e *Engine) refreshTemplateCache() {
 	for a := range e.tmpl {
 		for t := range e.tmpl[a] {
 			pat := e.tmpl[a][t].pattern
-			best, dist := e.bm.bank.IdentifyPatternScored(pat)
+			best, dist := e.bm.cols.Identify(pat)
 			e.tmplCache[a][t] = tmplMatch{
 				best:  best,
 				high:  e.bm.bank.HighUsage(best),
@@ -367,7 +367,7 @@ func (e *Engine) processShard(sh *shardState) {
 			if e.hist != nil {
 				t0 = time.Now()
 			}
-			best, dist := e.bm.bank.IdentifyPatternScored(sh.patBuf[:r.pos])
+			best, dist := e.bm.cols.Identify(sh.patBuf[:r.pos])
 			if e.hist != nil {
 				e.hist.Observe(int64(time.Since(t0)))
 			}

@@ -811,7 +811,7 @@ func (f *Fleet) completeFleet(pkg *fleetPkg, nd *fleetNode, r *fleetReq, doneNs 
 	// degraded tier buys — so they are never scored or flagged.
 	if !r.degraded && r.id%uint64(f.cfg.ScoreSampleEvery) == 0 {
 		f.patBuf = appendPattern(f.patBuf[:0], f.tmpl[r.app][r.tmpl].pattern, r.drift, r.anom)
-		_, dist := nd.bm.bank.IdentifyPatternScored(f.patBuf)
+		_, dist := nd.bm.cols.Identify(f.patBuf)
 		score := dist / float64(len(f.patBuf))
 		pkg.tally.scoreSum += score
 		if score > nd.bm.threshold {

@@ -165,23 +165,33 @@ func NewPatternMatrix(n, maxLen int) *PatternMatrix {
 // PatternDistance(pats[i], pats[j]): the lower index is the first
 // argument. The fill is serial.
 func (pm *PatternMatrix) Fill(dm *distance.Matrix, pats [][]float64) {
-	n, width := len(pats), 0
-	for _, p := range pats {
-		width = max(width, len(p))
+	n := len(pats)
+	cols, _ := transpose(pm.cols, n, func(j int) []float64 { return pats[j] })
+	pm.cols = cols
+	dm.FillRows(n, func(i int, cells []float64) { fillPatternRow(cells, pats[i], cols, n, i) })
+}
+
+// transpose writes n patterns into a zero-padded column store,
+// cols[t·n+j] being bucket t of pattern(j) and 0 past its end, and returns
+// the store with its width, the longest pattern's length. The store reuses
+// cols' backing array when it fits.
+func transpose(cols []float64, n int, pattern func(j int) []float64) ([]float64, int) {
+	width := 0
+	for j := 0; j < n; j++ {
+		width = max(width, len(pattern(j)))
 	}
-	if need := n * width; cap(pm.cols) >= need {
-		pm.cols = pm.cols[:need]
+	if need := n * width; cap(cols) >= need {
+		cols = cols[:need]
 	} else {
-		pm.cols = make([]float64, need)
+		cols = make([]float64, need)
 	}
-	clear(pm.cols)
-	for j, p := range pats {
-		for t, x := range p {
-			pm.cols[t*n+j] = x
+	clear(cols)
+	for j := 0; j < n; j++ {
+		for t, x := range pattern(j) {
+			cols[t*n+j] = x
 		}
 	}
-	cols := pm.cols
-	dm.FillRows(n, func(i int, cells []float64) { fillPatternRow(cells, pats[i], cols, n, i) })
+	return cols, width
 }
 
 // fillPatternRow sweeps row i of an n-pattern column store: cells[k]
@@ -217,6 +227,91 @@ func fillPatternRow(cells, a, cols []float64, n, i int) {
 	}
 }
 
+// Columns is a bank's patterns in PatternMatrix's zero-padded column
+// layout, scanned one bucket row at a time across every entry: the
+// serving engine's identification scan. Serving banks are a few dozen
+// entries of a few dozen buckets, and a serving prefix is about as short
+// as prefixL1Within's abandon stride, so early abandoning saves little
+// there; what bounds an entry-at-a-time scan is each entry's serial add
+// chain. Identify instead keeps four entries' sums in registers across
+// every bucket, four independent chains per sweep. Each entry still adds
+// its own terms in PatternDistance's order (x − 0 is exactly x, see
+// PatternMatrix), so index and distance are bit-identical to
+// Bank.IdentifyPatternScored. The store is written only by Set; Identify
+// only reads it, so concurrent Identify calls are safe between Sets.
+type Columns struct {
+	cols  []float64 // cols[t·n+e] is bucket t of entry e, 0 past its end
+	n     int       // entries
+	width int       // the longest entry's length
+}
+
+// NewColumns returns a Columns whose store holds n entries of up to
+// maxLen buckets without growing.
+func NewColumns(n, maxLen int) *Columns {
+	return &Columns{cols: make([]float64, 0, n*maxLen)}
+}
+
+// Set replaces the store's contents with entries' patterns, reusing the
+// backing array when it fits.
+func (c *Columns) Set(entries []Entry) {
+	c.n = len(entries)
+	c.cols, c.width = transpose(c.cols, c.n, func(e int) []float64 { return entries[e].Pattern })
+}
+
+// Identify returns the index of the entry whose leading buckets best
+// match prefix and its PatternDistance (-1 and +Inf for an empty store),
+// keeping the first strict minimum.
+func (c *Columns) Identify(prefix []float64) (int, float64) {
+	n, cols := c.n, c.cols
+	m := min(len(prefix), c.width)
+	head, tail := prefix[:m], prefix[m:]
+	best, bestD := -1, math.Inf(1)
+	e := 0
+	for ; e+4 <= n; e += 4 {
+		var s0, s1, s2, s3 float64
+		for t, x := range head {
+			k := t*n + e
+			r := cols[k : k+4 : k+4]
+			s0 += math.Abs(x - r[0])
+			s1 += math.Abs(x - r[1])
+			s2 += math.Abs(x - r[2])
+			s3 += math.Abs(x - r[3])
+		}
+		for _, x := range tail {
+			a := math.Abs(x)
+			s0 += a
+			s1 += a
+			s2 += a
+			s3 += a
+		}
+		if s0 < bestD {
+			best, bestD = e, s0
+		}
+		if s1 < bestD {
+			best, bestD = e+1, s1
+		}
+		if s2 < bestD {
+			best, bestD = e+2, s2
+		}
+		if s3 < bestD {
+			best, bestD = e+3, s3
+		}
+	}
+	for ; e < n; e++ {
+		var s float64
+		for t, x := range head {
+			s += math.Abs(x - cols[t*n+e])
+		}
+		for _, x := range tail {
+			s += math.Abs(x)
+		}
+		if s < bestD {
+			best, bestD = e, s
+		}
+	}
+	return best, bestD
+}
+
 // IdentifyPattern returns the bank index whose signature's leading portion
 // best matches the partial variation pattern (smallest L1 distance), or -1
 // for an empty bank.
@@ -226,12 +321,14 @@ func (b *Bank) IdentifyPattern(prefix []float64) int {
 }
 
 // IdentifyPatternScored is IdentifyPattern returning the winning distance
-// too (+Inf for an empty bank) — the anomaly score the streaming pipeline
-// thresholds. An entry stops summing once its distance reaches the best so
-// far, since it can then no longer win strictly (see prefixL1Within); the
-// winner's distance is always summed in full, so index and distance are
-// bit-identical to a plain PatternDistance scan that keeps the first
-// strict minimum.
+// too (+Inf for an empty bank). An entry stops summing once its distance
+// reaches the best so far, since it can then no longer win strictly (see
+// prefixL1Within); the winner's distance is always summed in full, so
+// index and distance are bit-identical to a plain PatternDistance scan
+// that keeps the first strict minimum. This is the offline scan, for
+// banks of long signatures where abandoning pays; the serving engine
+// scans its short bank through a Columns, which returns the same index
+// and distance.
 func (b *Bank) IdentifyPatternScored(prefix []float64) (int, float64) {
 	best, bestD := -1, math.Inf(1)
 	for i := range b.Entries {

@@ -11,10 +11,12 @@ import (
 	"repro/internal/sim"
 )
 
-// The bank-compaction differentials: the column-sweep pattern matrix
-// against pair-at-a-time PatternDistance, and the row-view k-medoids loop
+// The bank-compaction and bank-scan differentials: the column-sweep
+// pattern matrix against pair-at-a-time PatternDistance, the column-store
+// bank scan against the naive scan, and the row-view k-medoids loop
 // against the interface-dispatched loop it replaced. Together they cover
-// every matrix cell and medoid a serving compaction computes.
+// every matrix cell and medoid a serving compaction computes and every
+// match a serving scan reads.
 
 // randPatternValue draws one pattern bucket. specials is the chance, in
 // 1/64ths, of a value the kernel's exactness argument must hold for beyond
@@ -78,6 +80,55 @@ func checkPatternMatrix(seed int64) error {
 					return fmt.Errorf("population %d, cell (%d,%d) len (%d,%d): column sweep %v, pairwise %v",
 						n, i, j, len(pats[i]), len(pats[j]), got, want)
 				}
+			}
+		}
+	}
+	return nil
+}
+
+// checkColumns: a signature.Columns scan must return the index and, bit
+// for bit (NaN payloads aside), the distance of the naive PatternDistance
+// scan keeping the first strict minimum. One store serves banks of 72,
+// 16 and again 72 entries (the serving library, a compacted bank and
+// back), then 0–7 entries (every remainder of the scan's four-entry
+// blocks, and an empty bank) and 8–40, so stale columns of a larger or
+// wider bank must not leak into a later one. Entries are 0–30 buckets and
+// one in five repeats an earlier entry (an exact tie); prefixes run from
+// empty to three buckets past the widest entry, and one in four starts as
+// a copy of an entry.
+func checkColumns(seed int64) error {
+	r := rand.New(rand.NewSource(seed))
+	specials := []int{0, 2, 6}[r.Intn(3)]
+	cols := signature.NewColumns(0, 0)
+	for _, n := range []int{72, 16, 72, 0, 1, 2, 3, 4, 5, 6, 7, 8 + r.Intn(33)} {
+		bank := &signature.Bank{}
+		width := 0
+		for i := 0; i < n; i++ {
+			var pat []float64
+			if i > 0 && r.Intn(5) == 0 {
+				pat = bank.Entries[r.Intn(i)].Pattern
+			} else {
+				pat = make([]float64, r.Intn(31))
+				for t := range pat {
+					pat[t] = randPatternValue(r, specials)
+				}
+			}
+			width = max(width, len(pat))
+			bank.Entries = append(bank.Entries, signature.Entry{Pattern: pat})
+		}
+		cols.Set(bank.Entries)
+		for l := 0; l <= width+3; l++ {
+			prefix := make([]float64, l)
+			for t := range prefix {
+				prefix[t] = randPatternValue(r, specials)
+			}
+			if n > 0 && r.Intn(4) == 0 {
+				copy(prefix, bank.Entries[r.Intn(n)].Pattern)
+			}
+			want, wantD := naiveIdentify(bank, prefix)
+			if got, gotD := cols.Identify(prefix); got != want || !sameFloat(gotD, wantD) {
+				return fmt.Errorf("bank of %d (widest %d), prefix %d: columns (%d, %v), naive (%d, %v)",
+					n, width, l, got, gotD, want, wantD)
 			}
 		}
 	}

@@ -58,6 +58,7 @@ func TestDifferentialNamesAreStable(t *testing.T) {
 		"causal/localizer-vs-bruteforce":       true,
 		"sched/policy-conservation":            true,
 		"signature/pattern-matrix-vs-pairwise": true,
+		"signature/columns-vs-naive":           true,
 		"cluster/kmedoids-vs-reference":        true,
 	}
 	got := differentials()

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -92,7 +93,9 @@ func FuzzDTW(f *testing.F) {
 
 // FuzzSignatureMatch checks that the incremental Session reports the same
 // best index as the naive full rescan after every single-bucket extension,
-// and the bank's early-abandoning IdentifyPatternScored the same index and
+// and the bank's early-abandoning IdentifyPatternScored and its column
+// store's scan (signature.Columns, written first with the entries in
+// reverse so the real bank overwrites another layout) the same index and
 // bitwise the same distance, for arbitrary banks (entry lengths chosen by
 // the fuzzer, duplicates possible) and arbitrary prefixes.
 func FuzzSignatureMatch(f *testing.F) {
@@ -119,6 +122,15 @@ func FuzzSignatureMatch(f *testing.F) {
 		}
 		bank.ThresholdNs = 4e6
 		s := signature.NewMatcher(bank).NewSession()
+		reversed := slices.Clone(bank.Entries)
+		slices.Reverse(reversed)
+		cols := signature.NewColumns(0, 0)
+		cols.Set(reversed)
+		cols.Set(bank.Entries)
+		want, wantD := naiveIdentify(bank, nil)
+		if got, gotD := cols.Identify(nil); got != want || !sameFloat(gotD, wantD) {
+			t.Fatalf("empty prefix: columns (%d, %v), naive (%d, %v)", got, gotD, want, wantD)
+		}
 		var prefix []float64
 		for _, b := range fuzzSeq(prefixBytes, 48) {
 			prefix = append(prefix, b)
@@ -129,6 +141,9 @@ func FuzzSignatureMatch(f *testing.F) {
 			}
 			if got, gotD := bank.IdentifyPatternScored(prefix); got != want || !sameFloat(gotD, wantD) {
 				t.Fatalf("prefix len %d: IdentifyPatternScored (%d, %v), naive (%d, %v)", len(prefix), got, gotD, want, wantD)
+			}
+			if got, gotD := cols.Identify(prefix); got != want || !sameFloat(gotD, wantD) {
+				t.Fatalf("prefix len %d: columns (%d, %v), naive (%d, %v)", len(prefix), got, gotD, want, wantD)
 			}
 		}
 	})
