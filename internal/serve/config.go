@@ -13,7 +13,8 @@
 // cross-shard aggregation happens serially in shard order. The steady
 // state allocates nothing: queues and each shard's pattern buffer are
 // preallocated, and compaction runs entirely in pooled scratch
-// (distance.Matrix.Fill, cluster.Scratch).
+// (signature.PatternMatrix, cluster.Scratch), as does the bank's column
+// store (signature.Columns), which every serving scan reads.
 package serve
 
 import (
