@@ -42,7 +42,8 @@ test-dist:
 	$(GO) test -race ./internal/distributed/... ./internal/fault/...
 
 # GOMAXPROCS matrix leg: the concurrency-heavy packages (the distributed
-# stack, the experiment fan-out, and the serve engine's worker pool) must
+# stack, the experiment fan-out, the serve engine's worker pool, and the
+# signature matcher whose column store concurrent sessions read) must
 # pass under the race detector at both 1 and 4 procs —
 # single-proc runs surface ordering assumptions that parallel runs mask, and
 # vice versa.
@@ -52,8 +53,8 @@ test-dist:
 # test (the schedlab policy race most of all); serialized under -race at
 # GOMAXPROCS=1 the suite legitimately outgrows go test's 10m default.
 test-procs:
-	GOMAXPROCS=1 $(GO) test -race -count=1 -timeout 20m ./internal/distributed/... ./internal/experiments/... ./internal/serve/...
-	GOMAXPROCS=4 $(GO) test -race -count=1 -timeout 20m ./internal/distributed/... ./internal/experiments/... ./internal/serve/...
+	GOMAXPROCS=1 $(GO) test -race -count=1 -timeout 20m ./internal/distributed/... ./internal/experiments/... ./internal/serve/... ./internal/signature/...
+	GOMAXPROCS=4 $(GO) test -race -count=1 -timeout 20m ./internal/distributed/... ./internal/experiments/... ./internal/serve/... ./internal/signature/...
 
 # faults is the fault-injection smoke: a tiny labeled schedule through the
 # full faultanomaly pipeline — injection, retries/hedging on vs off, and

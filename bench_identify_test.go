@@ -2,13 +2,12 @@
 // serving scale): a 500-entry signature bank matched against streaming
 // prefixes that grow bucket by bucket, the per-request hot path of online
 // CPU-usage prediction. Variants: the naive full rescan per update
-// (Bank.IdentifyPattern, which rescans the whole prefix against every entry
-// and only stops an entry's sum once it can no longer win) and the
-// streaming Session ("cascaded"), which keeps one exact prefix-L1
-// accumulator per entry and prunes in two stages: a cached partial sum that
-// already exceeds the best distance, then early-abandoning accumulation. A
-// one-time golden check asserts the session identifies exactly the same
-// bank entries as the naive matcher.
+// (Bank.IdentifyPattern, one plain prefix-L1 sum per entry over the whole
+// prefix) and the streaming Session ("cascaded", the name kept so results
+// compare with earlier snapshots), which keeps one exact prefix-L1 sum per
+// entry and adds one store row per arriving bucket. A one-time golden
+// check asserts the session identifies exactly the same bank entries as
+// the naive matcher.
 //
 // Run with:
 //
@@ -73,14 +72,14 @@ func BenchmarkIdentify(b *testing.B) {
 
 	// Golden check: the session must match naive exactly at every prefix
 	// length, ties and all.
-	cascaded := matcher.NewSession()
+	s := matcher.NewSession()
 	for _, stream := range streams {
-		cascaded.Reset()
+		s.Reset()
 		for t := 1; t <= len(stream); t++ {
 			want := bank.IdentifyPattern(stream[:t])
-			cascaded.Extend(stream[t-1])
-			if got := cascaded.Best(); got != want {
-				b.Fatalf("cascaded best %d, naive %d (prefix %d)", got, want, t)
+			s.Extend(stream[t-1])
+			if got := s.Best(); got != want {
+				b.Fatalf("session best %d, naive %d (prefix %d)", got, want, t)
 			}
 		}
 	}

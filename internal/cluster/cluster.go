@@ -6,6 +6,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/distance"
 	"repro/internal/sim"
@@ -94,6 +95,18 @@ type Scratch struct {
 	offs    []int       // cluster c's group is members[offs[c]:offs[c+1]]
 	cursor  []int       // per-cluster write positions while grouping
 	rows    [][]float64 // rows[i] is dm.Row(i)
+}
+
+// Reserve grows the scratch for runs over up to n items in up to k
+// clusters, so that such runs allocate nothing. It invalidates the Result
+// of an earlier run.
+func (sc *Scratch) Reserve(n, k int) {
+	sc.rows = slices.Grow(sc.rows[:0], n)
+	sc.res.Medoids = growInts(sc.res.Medoids, k)
+	sc.res.Assign = growInts(sc.res.Assign, n)
+	sc.members = growInts(sc.members, n)
+	sc.offs = growInts(sc.offs, k+1)
+	sc.cursor = growInts(sc.cursor, k)
 }
 
 // abandonEvery is how many members the medoid update adds to a

@@ -14,6 +14,7 @@ package distance
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -141,6 +142,15 @@ func (m *Matrix) FillRows(n int, row func(i int, cells []float64)) {
 	}
 	for i := 0; i < n-1; i++ {
 		row(i, m.Row(i))
+	}
+}
+
+// Reserve grows the triangular storage's capacity to an n-item
+// population, keeping its cells, so that fills of up to n items allocate
+// nothing.
+func (m *Matrix) Reserve(n int) {
+	if need := n * (n - 1) / 2; need > len(m.vals) {
+		m.vals = slices.Grow(m.vals, need-len(m.vals))
 	}
 }
 

@@ -103,7 +103,6 @@ func Figure10(cfg Config) (*Figure10Result, error) {
 		sessions := make([]*signature.Session, len(test))
 		for i := range sessions {
 			sessions[i] = matcher.NewSession()
-			sessions[i].SetObserver(cfg.Obs)
 		}
 		for step := 1; step <= 10; step++ {
 			progress := float64(step) * unit

@@ -94,8 +94,6 @@ func (c *PolicyContext) threshold(policy string) (float64, error) {
 type PolicyFactory struct {
 	// Name is the registry key (CLI flags, comparison tables, hypotheses).
 	Name string
-	// Doc is a one-line description for listings.
-	Doc string
 	// New builds the policy from the shared context.
 	New func(*PolicyContext) (kernel.Policy, error)
 }
@@ -105,14 +103,12 @@ type PolicyFactory struct {
 var policies = []PolicyFactory{
 	{
 		Name: "round-robin",
-		Doc:  "baseline Linux-like scheduler (kernel.RoundRobin)",
 		New: func(*PolicyContext) (kernel.Policy, error) {
 			return kernel.RoundRobin{}, nil
 		},
 	},
 	{
 		Name: "contention-easing",
-		Doc:  "Section 5.2: avoid co-executing predicted high-usage requests",
 		New: func(c *PolicyContext) (kernel.Policy, error) {
 			th, err := c.threshold("contention-easing")
 			if err != nil {
@@ -127,7 +123,6 @@ var policies = []PolicyFactory{
 	},
 	{
 		Name: "topology-aware",
-		Doc:  "contention easing weighted by shared-cache package locality",
 		New: func(c *PolicyContext) (kernel.Policy, error) {
 			th, err := c.threshold("topology-aware")
 			if err != nil {
@@ -142,7 +137,6 @@ var policies = []PolicyFactory{
 	},
 	{
 		Name: "cluster-cosched",
-		Doc:  "avoid co-running same-signature-cluster cache polluters",
 		New: func(c *PolicyContext) (kernel.Policy, error) {
 			th, err := c.threshold("cluster-cosched")
 			if err != nil {
@@ -161,7 +155,6 @@ var policies = []PolicyFactory{
 	},
 	{
 		Name: "deadline",
-		Doc:  "urgency order: earliest predicted-completion deadline first",
 		New: func(c *PolicyContext) (kernel.Policy, error) {
 			s, err := c.sessions()
 			if err != nil {

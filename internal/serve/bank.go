@@ -11,18 +11,18 @@
 // the degraded-path template cache and the fleet's sampled scoring) is a
 // column sweep over the maintainer's signature.Columns, which the
 // constructor and rebuild rewrite. It does not abandon: a serving bank is
-// ~16 entries and a serving pattern ~10 buckets, about one abandon
-// stride, so abandoning would save little; the sweep overlaps the
-// entries' add chains instead. Early abandoning stays in
-// Bank.IdentifyPatternScored, the offline scan, which returns the same
-// index and distance.
+// ~16 entries and a serving pattern ~10 buckets, so what bounds a scan is
+// each entry's serial add chain, and the sweep overlaps four of them. It
+// returns the same index and distance as Bank.IdentifyPatternScored, the
+// plain reference scan.
 //
 // The matrix is filled by signature.PatternMatrix's column sweep, and
 // PatternDistance is not symmetric, so the orientation is fixed: cell
 // (i < j) is PatternDistance(pats[i], pats[j]), the older record first
 // (on a merge, the earlier node's entry first). Everything runs in scratch
-// preallocated at the template library's longest pattern, so a
-// steady-state compaction allocates nothing.
+// preallocated at the template library's longest pattern, with the
+// matrix and k-medoids scratch sized for a full window, so no compaction,
+// not even the first, allocates.
 package serve
 
 import (
@@ -178,6 +178,8 @@ func newBankMaintainer(k bankKnobs, tmpl [][]template, apps []workload.StreamApp
 	b.pats = carveBuffers(k.WindowSize, longest)
 	b.patBufs = carveBuffers(k.BankK, longest)
 	b.pm = signature.NewPatternMatrix(k.WindowSize, longest)
+	b.dm.Reserve(k.WindowSize)
+	b.csc.Reserve(k.WindowSize, k.BankK)
 	b.cpuOf = make([]float64, k.WindowSize)
 	b.typeOf = make([]string, k.WindowSize)
 	b.scores = make([]float64, 0, k.WindowSize)

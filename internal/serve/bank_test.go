@@ -127,8 +127,8 @@ func maintainerSizes(fc FleetConfig) []maintainerSize {
 // TestBankMaintenanceAllocs: a merged-bank install allocates nothing even
 // the first time, when it swaps the template library's bank for a
 // BankK-entry one and rewrites the column store, and compaction allocates
-// nothing once its matrix and k-medoids scratch have grown, at the
-// engine's scratch sizes and at a fleet node's.
+// nothing, a fresh maintainer's first one included, at the engine's
+// scratch sizes and at a fleet node's.
 func TestBankMaintenanceAllocs(t *testing.T) {
 	for _, tc := range maintainerSizes(smallFleetConfig(1)) {
 		b := newTestMaintainer(t, tc.cfg, 3, tc.installCap)
@@ -160,7 +160,11 @@ func TestBankMaintenanceAllocs(t *testing.T) {
 			t.Errorf("%s: installed bank %d entries, entry 1 type %q", tc.name, len(b.bank.Entries), b.bank.Entries[1].Type)
 		}
 
-		b.compact() // grows the matrix and k-medoids scratch once
+		fresh := newTestMaintainer(t, tc.cfg, 3, tc.installCap)
+		fresh.record(syntheticRecs(fresh, tc.cfg.WindowSize))
+		if allocs := mallocsOnce(func() { fresh.compact() }); allocs != 0 {
+			t.Errorf("%s: first compact allocates %v, want 0", tc.name, allocs)
+		}
 		if allocs := testing.AllocsPerRun(5, func() { b.compact() }); allocs != 0 {
 			t.Errorf("%s: compact allocates %v, want 0", tc.name, allocs)
 		}

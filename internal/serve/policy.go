@@ -15,8 +15,6 @@ type FleetPolicyInfo struct {
 	Name string
 	// Aliases are accepted spellings beyond the canonical name.
 	Aliases []string
-	// Doc is a one-line description for usage text.
-	Doc string
 }
 
 // fleetPolicies is the registry, in presentation order.
@@ -25,19 +23,16 @@ var fleetPolicies = []FleetPolicyInfo{
 		Policy:  FleetRoundRobin,
 		Name:    FleetRoundRobin.String(),
 		Aliases: []string{"rr"},
-		Doc:     "cycle arrivals across nodes, shortest core queue within the node",
 	},
 	{
 		Policy:  FleetContentionEase,
 		Name:    FleetContentionEase.String(),
 		Aliases: []string{"ease"},
-		Doc:     "route predicted-high requests to the least-pressured package fleet-wide",
 	},
 	{
 		Policy:  FleetScaleOut,
 		Name:    FleetScaleOut.String(),
 		Aliases: []string{"scale"},
-		Doc:     "grow/shrink the active node set from queued-high saturation; ease within it",
 	},
 }
 

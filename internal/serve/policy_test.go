@@ -14,9 +14,6 @@ func TestFleetPolicyRegistry(t *testing.T) {
 		t.Fatalf("FleetPolicyNames() = %v, want %v", got, want)
 	}
 	for _, p := range FleetPolicies() {
-		if p.Doc == "" {
-			t.Fatalf("policy %q has no doc line", p.Name)
-		}
 		if p.Name != p.Policy.String() {
 			t.Fatalf("policy %q name disagrees with String() %q", p.Name, p.Policy)
 		}

@@ -1,9 +1,9 @@
-// Online identification fast path, part 3: shrinking the candidate set
-// itself. Representative traces oversample common request types, so a bank
-// holds many near-identical signatures that the matcher re-eliminates on
-// every update. Compact deduplicates them once, at build time, by
-// k-medoids over the pairwise L1 pattern distances — routed through the
-// parallel distance engine — keeping one medoid signature per cluster.
+// Bank compaction: shrinking the candidate set itself. Representative
+// traces oversample common request types, so a bank holds many
+// near-identical signatures that every identification rescores. Compact
+// deduplicates them once, at build time, by k-medoids over the pairwise L1
+// pattern distances — routed through the parallel distance engine —
+// keeping one medoid signature per cluster.
 package signature
 
 import (

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -59,15 +58,15 @@ func randomStream(g *sim.RNG, b *Bank, maxLen int) []float64 {
 
 // TestSessionMatchesNaive is the golden-equality property test: on
 // randomized banks and streams — with random chunk sizes, ties, entries
-// shorter than the prefix, and mid-stream tail revisions — the cascaded
-// session reports exactly the index, distance and prediction naive
+// shorter than the prefix, and mid-stream tail revisions — the session
+// reports exactly the index, distance and prediction naive
 // IdentifyPattern gives.
 func TestSessionMatchesNaive(t *testing.T) {
 	g := sim.NewRNG(1234)
 	for trial := 0; trial < 60; trial++ {
 		bank := randomBank(g, 5+g.Intn(60), 24)
 		m := NewMatcher(bank)
-		cascaded := m.NewSession()
+		s := m.NewSession()
 
 		stream := randomStream(g, bank, 40)
 		pos := 0
@@ -85,18 +84,18 @@ func TestSessionMatchesNaive(t *testing.T) {
 				stream = append(prefix, stream[pos:]...)
 			}
 			want := bank.IdentifyPattern(prefix)
-			cascaded.Update(prefix)
-			if got := cascaded.Best(); got != want {
+			s.Update(prefix)
+			if got := s.Best(); got != want {
 				t.Fatalf("trial %d len %d: session best %d, naive %d", trial, pos, got, want)
 			}
 			wantD := math.Inf(1)
 			if want >= 0 {
 				wantD = prefixL1(prefix, bank.Entries[want].Pattern)
 			}
-			if got := cascaded.bestD; got != wantD {
+			if got := s.bestD; got != wantD {
 				t.Fatalf("trial %d len %d: best distance %v, naive %v", trial, pos, got, wantD)
 			}
-			if cascaded.PredictHigh() != bank.PredictHighUsage(prefix) {
+			if s.PredictHigh() != bank.PredictHighUsage(prefix) {
 				t.Fatalf("trial %d len %d: prediction mismatch", trial, pos)
 			}
 		}
@@ -220,8 +219,8 @@ func TestSessionIncrementalExtend(t *testing.T) {
 
 // TestSessionReuseAllocatesNothing: once its prefix buffer has grown, a
 // session reused across requests — Reset, one Extend per bucket, Best
-// after each — allocates nothing, with or without a collector attached.
-// sched.SignatureSessions pools sessions on this.
+// after each — allocates nothing. sched.SignatureSessions pools sessions
+// on this.
 func TestSessionReuseAllocatesNothing(t *testing.T) {
 	g := sim.NewRNG(31)
 	bank := randomBank(g, 64, 48)
@@ -229,23 +228,19 @@ func TestSessionReuseAllocatesNothing(t *testing.T) {
 	for i := range streams {
 		streams[i] = randomStream(g, bank, 64)
 	}
-	for _, col := range []*obs.Collector{nil, obs.New("test")} {
-		s := NewMatcher(bank).NewSession()
-		s.SetObserver(col)
-		run := func() {
-			for _, stream := range streams {
-				s.Reset()
-				for _, v := range stream {
-					s.Extend(v)
-					s.Best()
-				}
+	s := NewMatcher(bank).NewSession()
+	run := func() {
+		for _, stream := range streams {
+			s.Reset()
+			for _, v := range stream {
+				s.Extend(v)
+				s.Best()
 			}
 		}
-		run()
-		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
-			t.Fatalf("collector %v: reused session allocates %v objects per %d streams, want 0",
-				col != nil, allocs, len(streams))
-		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Fatalf("reused session allocates %v objects per %d streams, want 0", allocs, len(streams))
 	}
 }
 

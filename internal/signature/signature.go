@@ -95,35 +95,6 @@ func prefixL1(prefix, entry []float64) float64 {
 	return sum
 }
 
-// abandonEvery is how many buckets prefixL1Within adds between checks of
-// its bound.
-const abandonEvery = 8
-
-// prefixL1Within is prefixL1 that may stop early: once the partial sum
-// reaches bound it returns that partial sum, which is then ≥ bound. Every
-// term is |x| ≥ 0 (or NaN), and adding a non-negative term to a sum never
-// lowers it under round-to-nearest, so a sum that reaches bound ends ≥
-// bound or NaN — never below bound. A sum that finishes is bit-identical
-// to prefixL1's: same terms, same order.
-func prefixL1Within(prefix, entry []float64, bound float64) float64 {
-	n := min(len(prefix), len(entry))
-	var sum float64
-	i := 0
-	for ; i < n; i++ {
-		sum += math.Abs(prefix[i] - entry[i])
-		if i%abandonEvery == abandonEvery-1 && sum >= bound {
-			return sum
-		}
-	}
-	for ; i < len(prefix); i++ {
-		sum += math.Abs(prefix[i])
-		if i%abandonEvery == abandonEvery-1 && sum >= bound {
-			return sum
-		}
-	}
-	return sum
-}
-
 // PatternDistance is the bank's matching distance as an exported measure:
 // prefix-L1 of a against b, the L1 distance over their overlap plus a's
 // unexplained tail charged at its own values. It is not symmetric: only
@@ -228,17 +199,17 @@ func fillPatternRow(cells, a, cols []float64, n, i int) {
 }
 
 // Columns is a bank's patterns in PatternMatrix's zero-padded column
-// layout, scanned one bucket row at a time across every entry: the
-// serving engine's identification scan. Serving banks are a few dozen
-// entries of a few dozen buckets, and a serving prefix is about as short
-// as prefixL1Within's abandon stride, so early abandoning saves little
-// there; what bounds an entry-at-a-time scan is each entry's serial add
-// chain. Identify instead keeps four entries' sums in registers across
-// every bucket, four independent chains per sweep. Each entry still adds
-// its own terms in PatternDistance's order (x − 0 is exactly x, see
-// PatternMatrix), so index and distance are bit-identical to
-// Bank.IdentifyPatternScored. The store is written only by Set; Identify
-// only reads it, so concurrent Identify calls are safe between Sets.
+// layout, read one bucket row at a time across every entry. It serves
+// both streaming shapes: Identify scores a whole prefix (the serving
+// engine's match reads, calibration and sampled scoring), and a Matcher's
+// Sessions add one row per arriving bucket. Serving banks are a few dozen
+// entries of a few dozen buckets, so what bounds an entry-at-a-time scan
+// is each entry's serial add chain; Identify instead keeps four entries'
+// sums in registers across every bucket, four independent chains per
+// sweep. Each entry still adds its own terms in PatternDistance's order
+// (x − 0 is exactly x, see PatternMatrix), so index and distance are
+// bit-identical to Bank.IdentifyPatternScored. The store is written only
+// by Set; readers only read it, so concurrent reads are safe between Sets.
 type Columns struct {
 	cols  []float64 // cols[t·n+e] is bucket t of entry e, 0 past its end
 	n     int       // entries
@@ -321,18 +292,14 @@ func (b *Bank) IdentifyPattern(prefix []float64) int {
 }
 
 // IdentifyPatternScored is IdentifyPattern returning the winning distance
-// too (+Inf for an empty bank). An entry stops summing once its distance
-// reaches the best so far, since it can then no longer win strictly (see
-// prefixL1Within); the winner's distance is always summed in full, so
-// index and distance are bit-identical to a plain PatternDistance scan
-// that keeps the first strict minimum. This is the offline scan, for
-// banks of long signatures where abandoning pays; the serving engine
-// scans its short bank through a Columns, which returns the same index
-// and distance.
+// too (+Inf for an empty bank): the reference scan, one PatternDistance per
+// entry in bank order, keeping the first strict minimum. Columns.Identify
+// returns the same index and bitwise the same distance, and Session.Best
+// the same index.
 func (b *Bank) IdentifyPatternScored(prefix []float64) (int, float64) {
 	best, bestD := -1, math.Inf(1)
 	for i := range b.Entries {
-		if d := prefixL1Within(prefix, b.Entries[i].Pattern, bestD); d < bestD {
+		if d := prefixL1(prefix, b.Entries[i].Pattern); d < bestD {
 			best, bestD = i, d
 		}
 	}

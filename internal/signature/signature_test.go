@@ -134,16 +134,16 @@ func TestPrefixL1ShortEntryPenalized(t *testing.T) {
 	}
 }
 
-// TestIdentifyPatternScoredMatchesPlainScan: the early-abandoning scan
-// and the column sweep both return the same index and bitwise the same
-// distance as a plain PatternDistance scan keeping the first strict
-// minimum. Banks of 0–11 entries (so every remainder of the sweep's
-// four-entry blocks) mix NaN, ±Inf and −0 buckets, exact ties (small
-// integers and duplicated entries) and empty patterns; patterns reach 40
-// buckets, so entries are abandoned several strides in, both inside the
-// overlap and in the prefix's tail, and prefixes run from empty to past
-// every entry. One Columns serves every trial, so each bank overwrites a
-// wider or narrower one.
+// TestIdentifyPatternScoredMatchesPlainScan: the reference scan, the
+// column sweep and a Session fed bucket by bucket all return the same
+// index and bitwise the same distance as a plain PatternDistance scan
+// keeping the first strict minimum. Banks of 0–11 entries (so every
+// remainder of the sweep's four-entry blocks) mix NaN, ±Inf and −0
+// buckets, exact ties (small integers and duplicated entries) and empty
+// patterns; patterns reach 40 buckets, and prefixes run from empty to past
+// every entry, so the session crosses from store rows into the tail. One
+// Columns serves every trial, so each bank overwrites a wider or narrower
+// one; the session is checked after every bucket of the prefix.
 func TestIdentifyPatternScoredMatchesPlainScan(t *testing.T) {
 	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
 	r := rand.New(rand.NewSource(5))
@@ -157,6 +157,15 @@ func TestIdentifyPatternScoredMatchesPlainScan(t *testing.T) {
 		}
 		return p
 	}
+	plain := func(b *Bank, prefix []float64) (int, float64) {
+		best, bestD := -1, math.Inf(1)
+		for i, e := range b.Entries {
+			if d := PatternDistance(prefix, e.Pattern); d < bestD {
+				best, bestD = i, d
+			}
+		}
+		return best, bestD
+	}
 	cols := NewColumns(0, 0)
 	for trial := 0; trial < 2000; trial++ {
 		odd := trial%2 == 1
@@ -169,12 +178,7 @@ func TestIdentifyPatternScoredMatchesPlainScan(t *testing.T) {
 			b.Entries = append(b.Entries, Entry{Pattern: p})
 		}
 		prefix := pattern(odd)
-		want, wantD := -1, math.Inf(1)
-		for i, e := range b.Entries {
-			if d := PatternDistance(prefix, e.Pattern); d < wantD {
-				want, wantD = i, d
-			}
-		}
+		want, wantD := plain(b, prefix)
 		got, gotD := b.IdentifyPatternScored(prefix)
 		if got != want || !sameFloat(gotD, wantD) {
 			t.Fatalf("trial %d: scored (%d, %v), plain scan (%d, %v); prefix %v", trial, got, gotD, want, wantD, prefix)
@@ -182,6 +186,16 @@ func TestIdentifyPatternScoredMatchesPlainScan(t *testing.T) {
 		cols.Set(b.Entries)
 		if got, gotD := cols.Identify(prefix); got != want || !sameFloat(gotD, wantD) {
 			t.Fatalf("trial %d: columns (%d, %v), plain scan (%d, %v); prefix %v", trial, got, gotD, want, wantD, prefix)
+		}
+		s := NewMatcher(b).NewSession()
+		for i := 0; i <= len(prefix); i++ {
+			if i > 0 {
+				s.Extend(prefix[i-1])
+			}
+			want, wantD := plain(b, prefix[:i])
+			if got := s.Best(); got != want || !sameFloat(s.bestD, wantD) {
+				t.Fatalf("trial %d bucket %d: session (%d, %v), plain scan (%d, %v); prefix %v", trial, i, got, s.bestD, want, wantD, prefix[:i])
+			}
 		}
 	}
 }

@@ -224,7 +224,7 @@ func checkSessionNaive(seed int64) error {
 // checkReusedSessionNaive: one session reused across requests — Reset
 // before each request, then chunked Extends — must report after every
 // step the same best index as the naive scan of the current bank, and the
-// bank's own early-abandoning IdentifyPatternScored must give that index
+// bank's own reference scan IdentifyPatternScored must give that index
 // and bitwise the same distance (signature/columns-vs-naive holds the
 // serving scan to the same oracle). A bank
 // swap may land mid-request; the session then restarts on a new matcher

@@ -93,7 +93,7 @@ func FuzzDTW(f *testing.F) {
 
 // FuzzSignatureMatch checks that the incremental Session reports the same
 // best index as the naive full rescan after every single-bucket extension,
-// and the bank's early-abandoning IdentifyPatternScored and its column
+// and the bank's reference scan IdentifyPatternScored and its column
 // store's scan (signature.Columns, written first with the entries in
 // reverse so the real bank overwrites another layout) the same index and
 // bitwise the same distance, for arbitrary banks (entry lengths chosen by
