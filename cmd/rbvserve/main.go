@@ -67,7 +67,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	workers := fs.Int("workers", 0, "engine mode only: goroutines driving the shard phase (0 = GOMAXPROCS; never changes results)")
 	traceOut := fs.Bool("trace", false, "print the observability counter summary after the run")
 	topoSpec := fs.String("topology", "", "fleet mode: \"/\"-separated node topologies (see machine.ParseFleet)")
-	policy := fs.String("policy", "rr", "fleet placement policy: "+strings.Join(serve.FleetPolicyNames(), ", ")+" (aliases: rr, ease, scale)")
+	var aliases []string
+	for _, p := range serve.FleetPolicies() {
+		aliases = append(aliases, p.Aliases...)
+	}
+	policy := fs.String("policy", "rr", "fleet placement policy: "+strings.Join(serve.FleetPolicyNames(), ", ")+" (aliases: "+strings.Join(aliases, ", ")+")")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

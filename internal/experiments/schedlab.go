@@ -160,13 +160,13 @@ func SchedLab(cfg Config) (*SchedLabResult, error) {
 		fc.Policy = info.Policy
 		f, err := serve.NewFleet(fc)
 		if err != nil {
-			return nil, fmt.Errorf("schedlab fleet %s: %w", info.Name, err)
+			return nil, fmt.Errorf("schedlab fleet %s: %w", info.Policy, err)
 		}
 		f.Process(freq)
 		f.Drain()
 		r := f.Result()
 		out.Fleet = append(out.Fleet, SchedLabFleetRow{
-			Policy:      info.Name,
+			Policy:      string(info.Policy),
 			Completed:   r.Completed,
 			Shed:        r.Shed,
 			Degraded:    r.Degraded,

@@ -4,8 +4,9 @@
 // rematerializes the window's patterns once, reclusters them with
 // k-medoids over a pooled distance matrix, rebuilds the signature bank
 // from the medoids, and recalibrates the anomaly threshold by scoring the
-// same materialized patterns against the new bank. The fleet's merge step
-// installs a merged bank through the same rebuild.
+// same materialized patterns against the new bank. The fleet's merge
+// (mergeBanks) runs the same cluster and rebuild steps over every node's
+// bank entries, gathered into the first node's candidate scratch.
 //
 // Every serving scan of the bank (the engine's match reads, calibration,
 // the degraded-path template cache and the fleet's sampled scoring) is a
@@ -21,8 +22,9 @@
 // (i < j) is PatternDistance(pats[i], pats[j]), the older record first
 // (on a merge, the earlier node's entry first). Everything runs in scratch
 // preallocated at the template library's longest pattern, with the
-// matrix and k-medoids scratch sized for a full window, so no compaction,
-// not even the first, allocates.
+// candidate buffers, matrix and k-medoids scratch sized for a full window
+// or a whole merge, whichever is larger, so no compaction or merge, not
+// even the first, allocates.
 package serve
 
 import (
@@ -44,18 +46,6 @@ import (
 // minWindowFill is the smallest window occupancy worth compacting:
 // clustering a handful of requests would thrash the bank.
 const minWindowFill = 32
-
-// winRec is one completed request in the sliding window — the compact form
-// from which compaction rematerializes the full pattern (a pure function
-// of these fields and the template library).
-type winRec struct {
-	app    int32
-	tmpl   int32
-	cohort int32 // arrival cohort (always 0 on the single-node engine)
-	anom   bool
-	drift  float64
-	cpuNs  float64
-}
 
 // bankKnobs are the maintainer's settings, shared by Config and
 // FleetConfig under the same field names.
@@ -131,13 +121,14 @@ type bankMaintainer struct {
 	threshold float64
 
 	// Window ring of recent completions.
-	win     []winRec
+	win     []reqRec
 	winLen  int
 	winHead int
 
-	// Pooled scratch. pats[0:winLen] holds the rematerialized window
-	// patterns (oldest first) with their costs and types; pm fills dm
-	// from them.
+	// Pooled scratch. pats, cpuOf and typeOf hold the candidates a
+	// clustering reads: the rematerialized window (oldest first) or, on
+	// the first maintainer of a merge, every node's bank entries. pm fills
+	// dm from them.
 	pats    [][]float64
 	cpuOf   []float64
 	typeOf  []string
@@ -156,10 +147,10 @@ type bankMaintainer struct {
 // newBankMaintainer builds a maintainer whose bank starts as the template
 // library itself — every template of every mix app, in app-then-template
 // order — so identification and CPU prediction work from tick zero. The
-// anomaly threshold stays +Inf until the first calibration. installCap is
-// the most candidates a merged-bank install will offer (0 when the owner
-// never installs one); the cost scratch covers it too.
-func newBankMaintainer(k bankKnobs, tmpl [][]template, apps []workload.StreamApp, seed int64, installCap int) *bankMaintainer {
+// anomaly threshold stays +Inf until the first calibration. mergeCap is
+// the most candidates a merge gathers (0 when the owner never merges); the
+// candidate scratch covers it as well as a full window.
+func newBankMaintainer(k bankKnobs, tmpl [][]template, apps []workload.StreamApp, seed int64, mergeCap int) *bankMaintainer {
 	b := &bankMaintainer{
 		knobs:     k,
 		tmpl:      tmpl,
@@ -167,7 +158,7 @@ func newBankMaintainer(k bankKnobs, tmpl [][]template, apps []workload.StreamApp
 		seed:      seed,
 		bank:      &signature.Bank{Metric: metrics.L2RefsPerIns},
 		threshold: math.Inf(1),
-		win:       make([]winRec, k.WindowSize),
+		win:       make([]reqRec, k.WindowSize),
 		rng:       sim.NewRNG(0),
 	}
 	// Pattern scratch is preallocated at the library's longest template —
@@ -175,15 +166,16 @@ func newBankMaintainer(k bankKnobs, tmpl [][]template, apps []workload.StreamApp
 	// rematerialization, matrix fills and bank rebuilds never grow a
 	// buffer mid-run.
 	longest := longestPattern(tmpl)
-	b.pats = carveBuffers(k.WindowSize, longest)
+	n := max(k.WindowSize, mergeCap)
+	b.pats = carveBuffers(n, longest)
 	b.patBufs = carveBuffers(k.BankK, longest)
-	b.pm = signature.NewPatternMatrix(k.WindowSize, longest)
-	b.dm.Reserve(k.WindowSize)
-	b.csc.Reserve(k.WindowSize, k.BankK)
-	b.cpuOf = make([]float64, k.WindowSize)
-	b.typeOf = make([]string, k.WindowSize)
+	b.pm = signature.NewPatternMatrix(n, longest)
+	b.dm.Reserve(n)
+	b.csc.Reserve(n, k.BankK)
+	b.cpuOf = make([]float64, n)
+	b.typeOf = make([]string, n)
 	b.scores = make([]float64, 0, k.WindowSize)
-	b.cpus = make([]float64, 0, max(k.WindowSize, installCap))
+	b.cpus = make([]float64, 0, n)
 	for ai := range tmpl {
 		for t := range tmpl[ai] {
 			tm := &tmpl[ai][t]
@@ -220,7 +212,7 @@ func carveBuffers(n, c int) [][]float64 {
 
 // push appends one completion to the window ring, evicting the oldest once
 // it is full.
-func (b *bankMaintainer) push(rec winRec) {
+func (b *bankMaintainer) push(rec reqRec) {
 	b.win[b.winHead] = rec
 	b.winHead++
 	if b.winHead == len(b.win) {
@@ -232,14 +224,14 @@ func (b *bankMaintainer) push(rec winRec) {
 }
 
 // record pushes completions in order.
-func (b *bankMaintainer) record(recs []winRec) {
+func (b *bankMaintainer) record(recs []reqRec) {
 	for _, rec := range recs {
 		b.push(rec)
 	}
 }
 
 // at returns window record i, i ∈ [0, winLen), oldest first.
-func (b *bankMaintainer) at(i int) *winRec {
+func (b *bankMaintainer) at(i int) *reqRec {
 	idx := b.winHead - b.winLen + i
 	if idx < 0 {
 		idx += len(b.win)
@@ -258,10 +250,7 @@ func (b *bankMaintainer) compact() bool {
 		return false
 	}
 	b.materialize()
-	b.pm.Fill(&b.dm, b.pats[:b.winLen])
-	b.rng.Reseed(b.seed + int64(b.compactions))
-	cres := b.csc.KMedoids(&b.dm, cluster.Config{K: min(b.knobs.BankK, b.winLen), Rand: b.rng})
-	b.rebuild(cres.Medoids, b.pats, b.cpuOf[:b.winLen], b.typeOf)
+	b.rebuild(b.medoids(b.winLen, b.seed+int64(b.compactions)), b.pats, b.cpuOf[:b.winLen], b.typeOf)
 	// The window is still materialized: rebuild copies the medoids' patterns
 	// out and leaves pats as they were.
 	b.calibrate()
@@ -270,11 +259,41 @@ func (b *bankMaintainer) compact() bool {
 	return true
 }
 
-// install rebuilds the bank from a merged candidate set (see rebuild) and
-// recalibrates against it.
-func (b *bankMaintainer) install(medoids []int, pats [][]float64, cpus []float64, types []string) {
-	b.rebuild(medoids, pats, cpus, types)
-	b.recalibrate()
+// medoids clusters the candidates pats[:n] into at most BankK clusters,
+// with k-medoids reseeded from seed, and returns the medoids' candidate
+// indices. The slice is k-medoids scratch, valid until the next call.
+func (b *bankMaintainer) medoids(n int, seed int64) []int {
+	b.pm.Fill(&b.dm, b.pats[:n])
+	b.rng.Reseed(seed)
+	return b.csc.KMedoids(&b.dm, cluster.Config{K: min(b.knobs.BankK, n), Rand: b.rng}).Medoids
+}
+
+// mergeBanks is the fleet's merge. It gathers every maintainer's bank
+// entries, in maintainer order, as candidates into the first maintainer's
+// scratch (sized by its mergeCap), clusters them with seed, rebuilds every
+// bank from the medoids, and only then recalibrates every maintainer. The
+// order matters: the first recalibration rematerializes a window over the
+// candidates, so every rebuild must have copied its entries out first.
+// Each recalibration reads only its own maintainer's bank and window.
+// Every bank holds at least one entry, so there is always a candidate.
+func mergeBanks(bms []*bankMaintainer, seed int64) {
+	h := bms[0]
+	var n int
+	for _, b := range bms {
+		for _, e := range b.bank.Entries {
+			h.pats[n] = append(h.pats[n][:0], e.Pattern...)
+			h.cpuOf[n] = e.CPUTimeNs
+			h.typeOf[n] = e.Type
+			n++
+		}
+	}
+	medoids := h.medoids(n, seed)
+	for _, b := range bms {
+		b.rebuild(medoids, h.pats, h.cpuOf[:n], h.typeOf)
+	}
+	for _, b := range bms {
+		b.recalibrate()
+	}
 }
 
 // rebuild replaces the bank with the medoids of a candidate set — each

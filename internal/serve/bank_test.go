@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -10,24 +11,24 @@ import (
 
 // newTestMaintainer builds a maintainer over the templates cfg's stream
 // and template knobs produce.
-func newTestMaintainer(t testing.TB, cfg Config, seed int64, installCap int) *bankMaintainer {
+func newTestMaintainer(t testing.TB, cfg Config, seed int64, mergeCap int) *bankMaintainer {
 	t.Helper()
-	tmpl, err := buildTemplates(cfg)
+	tmpl, err := buildTemplates(cfg.Stream, cfg.TemplatesPerApp, cfg.MaxPatternLen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newBankMaintainer(cfg.bankKnobs(), tmpl, cfg.Stream.Apps, seed, installCap)
+	return newBankMaintainer(cfg.bankKnobs(), tmpl, cfg.Stream.Apps, seed, mergeCap)
 }
 
 // syntheticRecs returns n window records cycling over every template, with
 // a drift and an injected anomaly now and then, so compaction has varied
 // patterns to cluster.
-func syntheticRecs(b *bankMaintainer, n int) []winRec {
-	recs := make([]winRec, n)
+func syntheticRecs(b *bankMaintainer, n int) []reqRec {
+	recs := make([]reqRec, n)
 	for i := range recs {
 		app := i % len(b.tmpl)
 		t := (i / len(b.tmpl)) % len(b.tmpl[app])
-		recs[i] = winRec{
+		recs[i] = reqRec{
 			app:   int32(app),
 			tmpl:  int32(t),
 			anom:  i%37 == 0,
@@ -44,7 +45,7 @@ func TestBankWindowOldestFirst(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.WindowSize = 5
 	b := newTestMaintainer(t, cfg, 1, 0)
-	recs := make([]winRec, 13)
+	recs := make([]reqRec, 13)
 	for i := range recs {
 		recs[i].cpuNs = float64(i)
 	}
@@ -87,10 +88,13 @@ func TestBankSparseWindowRecalibratesOnly(t *testing.T) {
 
 // mallocsOnce counts the heap allocations of one call to f. Unlike
 // testing.AllocsPerRun it has no warm-up call, so it also catches scratch
-// that grows on first use.
+// that grows on first use. It collects first: a collection that starts
+// around f can allocate on the runtime's behalf (a background mark
+// worker's goroutine in a fresh process), which would count against f.
 func mallocsOnce(f func()) uint64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
+	runtime.GC()
 	runtime.ReadMemStats(&before)
 	f()
 	runtime.ReadMemStats(&after)
@@ -98,11 +102,13 @@ func mallocsOnce(f func()) uint64 {
 }
 
 // maintainerSize is one owner's bank-maintainer sizing: the engine's, or
-// a fleet node's, whose installs offer a whole fleet's concatenated banks.
+// that of the nodes of a fleet, whose merges gather a whole fleet's
+// concatenated banks.
 type maintainerSize struct {
-	name       string
-	cfg        Config
-	installCap int
+	name     string
+	cfg      Config
+	nodes    int
+	mergeCap int
 }
 
 // maintainerSizes returns the engine's default sizing and that of a node
@@ -117,50 +123,53 @@ func maintainerSizes(fc FleetConfig) []maintainerSize {
 		CalibrationQuantile: fc.CalibrationQuantile,
 		CalibrationHeadroom: fc.CalibrationHeadroom,
 	}
-	fleetCap := max(len(fc.Nodes)*fc.BankK, fc.TemplatesPerApp*len(fc.Stream.Apps)*len(fc.Nodes))
+	fleetCap := len(fc.Nodes) * max(fc.BankK, fc.TemplatesPerApp*len(fc.Stream.Apps))
 	return []maintainerSize{
-		{"engine", DefaultConfig(1), 0},
-		{"fleet-node", fleetCfg, fleetCap},
+		{"engine", DefaultConfig(1), 1, 0},
+		{"fleet-node", fleetCfg, len(fc.Nodes), fleetCap},
 	}
 }
 
-// TestBankMaintenanceAllocs: a merged-bank install allocates nothing even
-// the first time, when it swaps the template library's bank for a
-// BankK-entry one and rewrites the column store, and compaction allocates
-// nothing, a fresh maintainer's first one included, at the engine's
-// scratch sizes and at a fleet node's.
+// TestBankMaintenanceAllocs: a merge allocates nothing even the first
+// time, when it gathers every maintainer's whole template-library bank and
+// swaps each for a BankK-entry one, rewriting the column stores; and
+// compaction allocates nothing, a fresh maintainer's first one included,
+// at the engine's scratch sizes and at a fleet node's.
 func TestBankMaintenanceAllocs(t *testing.T) {
 	for _, tc := range maintainerSizes(smallFleetConfig(1)) {
-		b := newTestMaintainer(t, tc.cfg, 3, tc.installCap)
+		group := make([]*bankMaintainer, tc.nodes)
+		var library int
+		for i := range group {
+			group[i] = newTestMaintainer(t, tc.cfg, 3+int64(i), tc.mergeCap)
+			group[i].record(syntheticRecs(group[i], tc.cfg.WindowSize+i))
+			library += len(group[i].bank.Entries)
+		}
+		if library <= tc.cfg.WindowSize && tc.nodes > 1 {
+			t.Fatalf("%s: merge gathers %d candidates, want more than a %d-record window", tc.name, library, tc.cfg.WindowSize)
+		}
+		if allocs := mallocsOnce(func() { mergeBanks(group, 7) }); allocs != 0 {
+			t.Errorf("%s: first merge over %d library entries allocates %v, want 0", tc.name, library, allocs)
+		}
+		// Every node adopts the same merged bank: a rebuild that read the
+		// candidates after a recalibration rematerialized a window over
+		// them would differ.
+		for i, b := range group {
+			if len(b.bank.Entries) != tc.cfg.BankK || b.bank.ThresholdNs != group[0].bank.ThresholdNs {
+				t.Fatalf("%s: node %d bank has %d entries, threshold %v", tc.name, i, len(b.bank.Entries), b.bank.ThresholdNs)
+			}
+			for c, e := range b.bank.Entries {
+				if e0 := group[0].bank.Entries[c]; e.Type != e0.Type || e.CPUTimeNs != e0.CPUTimeNs || !reflect.DeepEqual(e.Pattern, e0.Pattern) {
+					t.Fatalf("%s: node %d entry %d differs from node 0's", tc.name, i, c)
+				}
+			}
+			if math.IsInf(b.threshold, 1) {
+				t.Fatalf("%s: node %d not recalibrated", tc.name, i)
+			}
+		}
+
+		b := group[0]
 		b.record(syntheticRecs(b, 3*tc.cfg.WindowSize))
-
-		// Candidates as a merge offers them: patterns, costs and types,
-		// as many as the owner's largest install.
-		n := max(tc.cfg.WindowSize, tc.installCap)
-		pats := make([][]float64, n)
-		cpus := make([]float64, n)
-		types := make([]string, n)
-		for i, r := range syntheticRecs(b, n) {
-			pats[i] = b.tmpl[r.app][r.tmpl].pattern
-			cpus[i] = r.cpuNs
-			types[i] = b.apps[r.app].Name
-		}
-		medoids := make([]int, tc.cfg.BankK)
-		for c := range medoids {
-			medoids[c] = c * (n / len(medoids))
-		}
-		library := len(b.bank.Entries)
-		if library <= tc.cfg.BankK {
-			t.Fatalf("%s: library bank of %d entries, want more than BankK %d", tc.name, library, tc.cfg.BankK)
-		}
-		if allocs := mallocsOnce(func() { b.install(medoids, pats, cpus, types) }); allocs != 0 {
-			t.Errorf("%s: install over the %d-entry library bank allocates %v, want 0", tc.name, library, allocs)
-		}
-		if len(b.bank.Entries) != tc.cfg.BankK || b.bank.Entries[1].Type != types[medoids[1]] {
-			t.Errorf("%s: installed bank %d entries, entry 1 type %q", tc.name, len(b.bank.Entries), b.bank.Entries[1].Type)
-		}
-
-		fresh := newTestMaintainer(t, tc.cfg, 3, tc.installCap)
+		fresh := newTestMaintainer(t, tc.cfg, 3, tc.mergeCap)
 		fresh.record(syntheticRecs(fresh, tc.cfg.WindowSize))
 		if allocs := mallocsOnce(func() { fresh.compact() }); allocs != 0 {
 			t.Errorf("%s: first compact allocates %v, want 0", tc.name, allocs)
@@ -204,7 +213,7 @@ func TestBankCompactMatrixOrientation(t *testing.T) {
 func BenchmarkBankCompact(b *testing.B) {
 	for _, tc := range maintainerSizes(DefaultFleetConfig(1)) {
 		b.Run(tc.name, func(b *testing.B) {
-			m := newTestMaintainer(b, tc.cfg, 3, tc.installCap)
+			m := newTestMaintainer(b, tc.cfg, 3, tc.mergeCap)
 			m.record(syntheticRecs(m, 3*tc.cfg.WindowSize))
 			m.compact() // grows the matrix and k-medoids scratch once
 			b.ReportAllocs()

@@ -1,8 +1,9 @@
 // The tick engine. Each virtual tick runs three phases:
 //
-//  1. Ingest (serial): pull stream arrivals up to the tick boundary, hash
-//     each to a shard, and either enqueue it — degraded past DegradeDepth —
-//     or shed it when the shard queue is full.
+//  1. Ingest (serial): take stream arrivals up to the tick boundary from
+//     the intake, hash each to a shard by sequence number, and either
+//     enqueue it — degraded past DegradeDepth — or shed it when the shard
+//     queue is full.
 //  2. Process (parallel): shard workers burn their per-tick virtual budget
 //     on their own queues, oldest request first, charging each pattern
 //     chunk's virtual cost and scanning the bank only on the two chunks
@@ -22,23 +23,17 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/workload"
 )
 
 // req is one queued in-flight request. Records live in preallocated
 // per-shard queues and are moved by value.
 type req struct {
-	arrivalNs int64
-	drift     float64
-	cpuNs     float64
-	app       int32
-	tmpl      int32
-	pos       int32
-	patLen    int32
-	anom      bool
-	degraded  bool
-	predDone  bool
-	predHigh  bool
+	reqRec
+	pos      int32
+	patLen   int32
+	degraded bool
+	predDone bool
+	predHigh bool
 }
 
 // shardTally is one shard's per-tick outcome counts, merged serially in
@@ -59,7 +54,7 @@ type shardTally struct {
 type shardState struct {
 	q      []req
 	patBuf []float64 // materialized pattern of the request being scanned
-	winBuf []winRec
+	winBuf []reqRec
 	tally  shardTally
 	done   int // requests completed this tick: always a prefix of q
 	depth  int // peak queue depth seen on this shard
@@ -70,9 +65,8 @@ type shardState struct {
 // Engine is a running service-mode pipeline. Methods are not safe for
 // concurrent use; the engine parallelizes internally.
 type Engine struct {
-	cfg    Config
-	stream *workload.Stream
-	tmpl   [][]template
+	cfg Config
+	in  intake
 	// tmplCache[app][t] is template t identified against the current bank
 	// (refreshed at every compaction); degraded requests resolve against
 	// it at constant cost.
@@ -85,11 +79,8 @@ type Engine struct {
 	shards []shardState
 	shift  uint
 
-	pending     workload.Arrival
-	havePending bool
-	nextID      uint64
-	tick        uint64
-	nowNs       int64
+	tick  uint64
+	nowNs int64
 
 	res Result
 
@@ -111,19 +102,14 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	stream, err := workload.NewStream(cfg.Stream)
-	if err != nil {
-		return nil, err
-	}
-	tmpl, err := buildTemplates(cfg)
+	in, err := newIntake(cfg.Stream, cfg.TemplatesPerApp, cfg.MaxPatternLen)
 	if err != nil {
 		return nil, err
 	}
 	e := &Engine{
 		cfg:     cfg,
-		stream:  stream,
-		tmpl:    tmpl,
-		bm:      newBankMaintainer(cfg.bankKnobs(), tmpl, cfg.Stream.Apps, cfg.Stream.Seed, 0),
+		in:      in,
+		bm:      newBankMaintainer(cfg.bankKnobs(), in.tmpl, cfg.Stream.Apps, cfg.Stream.Seed, 0),
 		shards:  make([]shardState, cfg.Shards),
 		shift:   uint(64 - log2(cfg.Shards)),
 		workers: cfg.Workers,
@@ -132,11 +118,11 @@ func New(cfg Config) (*Engine, error) {
 		sh := &e.shards[i]
 		sh.q = make([]req, 0, cfg.QueueCap)
 		sh.patBuf = make([]float64, 0, cfg.MaxPatternLen)
-		sh.winBuf = make([]winRec, 0, cfg.QueueCap)
+		sh.winBuf = make([]reqRec, 0, cfg.QueueCap)
 	}
-	e.tmplCache = make([][]tmplMatch, len(tmpl))
-	for a := range tmpl {
-		e.tmplCache[a] = make([]tmplMatch, len(tmpl[a]))
+	e.tmplCache = make([][]tmplMatch, len(in.tmpl))
+	for a := range in.tmpl {
+		e.tmplCache[a] = make([]tmplMatch, len(in.tmpl[a]))
 	}
 	e.refreshTemplateCache()
 	if c := cfg.Obs; c != nil {
@@ -177,9 +163,9 @@ func New(cfg Config) (*Engine, error) {
 // inherent behavior), which is exactly the blindness degradation buys:
 // an overloaded shard stops seeing per-request deviations.
 func (e *Engine) refreshTemplateCache() {
-	for a := range e.tmpl {
-		for t := range e.tmpl[a] {
-			pat := e.tmpl[a][t].pattern
+	for a := range e.in.tmpl {
+		for t := range e.in.tmpl[a] {
+			pat := e.in.tmpl[a][t].pattern
 			best, dist := e.bm.cols.Identify(pat)
 			e.tmplCache[a][t] = tmplMatch{
 				best:  best,
@@ -200,13 +186,13 @@ func log2(n int) int {
 	return k
 }
 
-// shardFor spreads request IDs over the shards by Fibonacci hashing, which
-// scatters sequential IDs, the common case, across all of them.
-func (e *Engine) shardFor(id uint64) *shardState {
+// shardFor spreads arrival sequence numbers over the shards by Fibonacci
+// hashing, which scatters consecutive numbers across all of them.
+func (e *Engine) shardFor(seq uint64) *shardState {
 	if len(e.shards) == 1 {
 		return &e.shards[0]
 	}
-	return &e.shards[(id*0x9E3779B97F4A7C15)>>e.shift]
+	return &e.shards[(seq*0x9E3779B97F4A7C15)>>e.shift]
 }
 
 // Process advances the engine until at least n more stream arrivals have
@@ -263,36 +249,25 @@ func (e *Engine) runTick(ingest bool) int {
 	return arrivals
 }
 
-// ingest admits stream arrivals up to the tick boundary.
+// ingest admits stream arrivals up to the tick boundary. Only admitted
+// anomalies count as injected.
 func (e *Engine) ingest(tickEnd int64) int {
 	var n int
 	for {
-		if !e.havePending {
-			e.stream.Next(&e.pending)
-			e.havePending = true
-		}
-		if e.pending.TimeNs >= tickEnd {
+		rec, _, seq, ok := e.in.next(tickEnd)
+		if !ok {
 			return n
 		}
-		a := e.pending
-		e.havePending = false
 		n++
 		e.res.Arrivals++
 		e.cArrivals.Add(1)
-		sh := e.shardFor(e.nextID)
+		sh := e.shardFor(seq)
 		if len(sh.q) == cap(sh.q) {
 			e.res.Shed++
 			e.cShed.Add(1)
-			e.nextID++
 			continue
 		}
-		tmpls := e.tmpl[a.App]
-		t := int((a.Bits >> 8) % uint64(len(tmpls)))
-		anom := isAnomalous(a.Bits)
-		drift := e.stream.DriftAt(a.TimeNs)
-		cpu := tmpls[t].cpuNs * drift
-		if anom {
-			cpu *= anomalyCPUFactor
+		if rec.anom {
 			e.res.Injected++
 		}
 		degraded := len(sh.q) >= e.cfg.DegradeDepth
@@ -301,19 +276,13 @@ func (e *Engine) ingest(tickEnd int64) int {
 			e.cDegraded.Add(1)
 		}
 		sh.q = append(sh.q, req{
-			arrivalNs: a.TimeNs,
-			drift:     drift,
-			cpuNs:     cpu,
-			app:       int32(a.App),
-			tmpl:      int32(t),
-			patLen:    int32(len(tmpls[t].pattern)),
-			anom:      anom,
-			degraded:  degraded,
+			reqRec:   rec,
+			patLen:   int32(len(e.in.tmpl[rec.app][rec.tmpl].pattern)),
+			degraded: degraded,
 		})
 		if len(sh.q) > sh.depth {
 			sh.depth = len(sh.q)
 		}
-		e.nextID++
 	}
 }
 
@@ -360,7 +329,7 @@ func (e *Engine) processShard(sh *shardState) {
 			if !half && r.pos < r.patLen {
 				continue
 			}
-			sh.patBuf = appendPattern(sh.patBuf[:0], e.tmpl[r.app][r.tmpl].pattern, r.drift, r.anom)
+			sh.patBuf = appendPattern(sh.patBuf[:0], e.in.tmpl[r.app][r.tmpl].pattern, r.drift, r.anom)
 			// The host clock is read only for an attached collector; a
 			// detached engine pays a nil check here, as every other hook does.
 			var t0 time.Time
@@ -401,9 +370,7 @@ func (e *Engine) complete(sh *shardState, r *req, score float64, degraded bool) 
 			sh.tally.flaggedInjected++
 		}
 	}
-	sh.winBuf = append(sh.winBuf, winRec{
-		app: r.app, tmpl: r.tmpl, anom: r.anom, drift: r.drift, cpuNs: r.cpuNs,
-	})
+	sh.winBuf = append(sh.winBuf, r.reqRec)
 }
 
 // aggregate merges every shard's tick outcome serially in shard order and

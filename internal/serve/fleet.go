@@ -5,7 +5,9 @@
 // contention model, which each node's machine.Contention evaluates from
 // tick-start snapshots; each node keeps its own sliding window and
 // compacted signature bank, and the fleet periodically merges the per-node
-// banks into one global bank that every node adopts.
+// banks into one global bank that every node adopts (mergeBanks, bank.go).
+// Arrivals come through the same intake as the single-node engine's
+// (templates.go); placement, shedding and degrading are the fleet's own.
 //
 // A tick runs on the calling goroutine: ingest, rate snapshots, package
 // execution and aggregation all go in (node, package) order. A tick is
@@ -19,45 +21,29 @@ import (
 	"math"
 	"strings"
 
-	"repro/internal/cluster"
-	"repro/internal/distance"
 	"repro/internal/machine"
 	"repro/internal/obs"
-	"repro/internal/signature"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// FleetPolicy selects the fleet's placement policy.
-type FleetPolicy int
+// FleetPolicy selects the fleet's placement policy by its canonical name
+// (see FleetPolicies for the registry and the accepted aliases).
+type FleetPolicy string
 
 const (
 	// FleetRoundRobin cycles arrivals across nodes, filling each node's
 	// shortest core queue.
-	FleetRoundRobin FleetPolicy = iota
+	FleetRoundRobin FleetPolicy = "round-robin"
 	// FleetContentionEase places predicted high-usage requests on the
 	// fleet package with the least queued high-usage pressure, easing
 	// shared-cache contention (the paper's Section 5.2 policy, fleet-wide).
-	FleetContentionEase
+	FleetContentionEase FleetPolicy = "contention-easing"
 	// FleetScaleOut starts with one active node and reactively grows or
 	// shrinks the active set from a saturation signal — the per-package
 	// count of queued predicted-high requests. Placement within the active
 	// set follows FleetContentionEase.
-	FleetScaleOut
+	FleetScaleOut FleetPolicy = "scale-out"
 )
-
-func (p FleetPolicy) String() string {
-	switch p {
-	case FleetRoundRobin:
-		return "round-robin"
-	case FleetContentionEase:
-		return "contention-easing"
-	case FleetScaleOut:
-		return "scale-out"
-	default:
-		return fmt.Sprintf("FleetPolicy(%d)", int(p))
-	}
-}
 
 // FleetConfig specifies a fleet-mode run. Start from DefaultFleetConfig.
 type FleetConfig struct {
@@ -65,7 +51,7 @@ type FleetConfig struct {
 	Stream workload.StreamConfig
 	// Nodes is the fleet: one machine topology per node (at least one).
 	Nodes []machine.Topology
-	// Policy is the placement policy.
+	// Policy is the placement policy (empty means FleetRoundRobin).
 	Policy FleetPolicy
 
 	// TickNs is the virtual tick length (default 1ms). Contention rates
@@ -199,10 +185,15 @@ func (c FleetConfig) normalize() (FleetConfig, error) {
 			return c, fmt.Errorf("serve: FleetConfig.Nodes[%d]: %w", i, err)
 		}
 	}
-	switch c.Policy {
-	case FleetRoundRobin, FleetContentionEase, FleetScaleOut:
-	default:
-		return c, fmt.Errorf("serve: FleetConfig.Policy unknown: %d", c.Policy)
+	if c.Policy == "" {
+		c.Policy = FleetRoundRobin
+	}
+	known := false
+	for _, p := range fleetPolicies {
+		known = known || p.Policy == c.Policy
+	}
+	if !known {
+		return c, fmt.Errorf("serve: FleetConfig.Policy unknown: %q", c.Policy)
 	}
 	if math.IsNaN(c.ScaleHighWater) || math.IsInf(c.ScaleHighWater, 0) {
 		return c, fmt.Errorf("serve: FleetConfig.ScaleHighWater must be finite, got %v", c.ScaleHighWater)
@@ -258,17 +249,14 @@ func (c FleetConfig) bankKnobs() bankKnobs {
 
 // fleetReq is one queued request on a core.
 type fleetReq struct {
-	id        uint64
+	reqRec
 	arrivalNs int64
 	remIns    float64 // instructions left to execute
-	drift     float64
-	cpuNs     float64 // solo CPU estimate (classification + window record)
-	app       int32
-	tmpl      int32
-	cohort    int32
-	anom      bool
 	predHigh  bool
 	degraded  bool
+	// scored marks the requests sampled for anomaly scoring at completion:
+	// every ScoreSampleEvery-th arrival, unless it was degraded.
+	scored bool
 }
 
 // fleetCore is one core's FIFO queue plus its tick-rate snapshot. The
@@ -342,7 +330,8 @@ type fleetNode struct {
 	cores []fleetCore
 	pkgs  []int // indices into Fleet.pkgs
 
-	// bm owns the node's bank, threshold, and sliding window.
+	// bm owns the node's bank, threshold, and sliding window (also
+	// Fleet.bms[node]).
 	bm *bankMaintainer
 
 	hist *obs.Histogram
@@ -353,11 +342,11 @@ type fleetNode struct {
 // concurrent use, and the fleet starts no goroutines.
 type Fleet struct {
 	cfg    FleetConfig
-	stream *workload.Stream
-	tmpl   [][]template
+	in     intake
 	nodes  []*fleetNode
-	pkgs   []*fleetPkg // all packages, node order
-	patBuf []float64   // pattern scratch for sampled completion scoring
+	bms    []*bankMaintainer // the nodes' maintainers, node order
+	pkgs   []*fleetPkg       // all packages, node order
+	patBuf []float64         // pattern scratch for sampled completion scoring
 
 	// fleetThresholds classifies predicted high usage at admission, one
 	// threshold per arrival cohort (index 0 when cohorts are disabled).
@@ -368,12 +357,9 @@ type Fleet struct {
 	fleetThresholds []float64
 	cohortCPUs      [][]float64 // per-cohort merge scratch
 
-	pending     workload.Arrival
-	havePending bool
-	nextID      uint64
-	rrSeq       uint64
-	tick        uint64
-	nowNs       int64
+	rrSeq uint64
+	tick  uint64
+	nowNs int64
 
 	// active is the number of routable nodes (a prefix of nodes, in config
 	// order). Non-scale-out policies route across the whole fleet; the
@@ -383,15 +369,6 @@ type Fleet struct {
 	cooldown int // ticks until the next scaling action is allowed
 
 	res FleetResult
-
-	// Merge scratch: concatenated node-bank entries.
-	mergePats  [][]float64
-	mergeCPUs  []float64
-	mergeTypes []string
-	mergeDM    distance.Matrix
-	mergePM    *signature.PatternMatrix
-	mergeCSC   cluster.Scratch
-	mergeRNG   *sim.RNG
 
 	fleetHist *obs.Histogram
 
@@ -406,33 +383,22 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	stream, err := workload.NewStream(cfg.Stream)
+	in, err := newIntake(cfg.Stream, cfg.TemplatesPerApp, cfg.MaxPatternLen)
 	if err != nil {
 		return nil, err
 	}
-	// Template libraries reuse the single-node engine's builder: only the
-	// stream/template knobs matter to it.
-	tmpl, err := buildTemplates(Config{
-		Stream:          cfg.Stream,
-		TemplatesPerApp: cfg.TemplatesPerApp,
-		MaxPatternLen:   cfg.MaxPatternLen,
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Merged and scored patterns are bank entries or templates, so none is
-	// longer than the library's longest template.
-	longest := longestPattern(tmpl)
-	f := &Fleet{cfg: cfg, stream: stream, tmpl: tmpl, patBuf: make([]float64, 0, longest)}
-	// A merge offers at most the concatenation of every node's bank; the
-	// merge scratch and each node's install scratch are sized for it.
-	mcap := max(len(cfg.Nodes)*cfg.BankK, cfg.TemplatesPerApp*len(tmpl)*len(cfg.Nodes))
+	// Scored patterns are templates, so none is longer than the library's
+	// longest template.
+	f := &Fleet{cfg: cfg, in: in, patBuf: make([]float64, 0, longestPattern(in.tmpl))}
+	// A merge gathers at most the concatenation of every node's bank, the
+	// template library or BankK medoids; each maintainer is sized for it.
+	mcap := len(cfg.Nodes) * max(cfg.BankK, cfg.TemplatesPerApp*len(in.tmpl))
 	for ni, topo := range cfg.Nodes {
 		mc := machine.DefaultConfig()
 		mc.Topology = topo
 		n := &fleetNode{
 			ct: machine.NewContention(mc),
-			bm: newBankMaintainer(cfg.bankKnobs(), tmpl, cfg.Stream.Apps, cfg.Stream.Seed+int64(ni)*1_000_003, mcap),
+			bm: newBankMaintainer(cfg.bankKnobs(), in.tmpl, cfg.Stream.Apps, cfg.Stream.Seed+int64(ni)*1_000_003, mcap),
 		}
 		n.res.Node = ni
 		n.res.Topology = topo.String()
@@ -448,6 +414,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		}
 		n.hist = obs.NewHistogram(fmt.Sprintf("fleet.node%d.latency.ns", ni))
 		f.nodes = append(f.nodes, n)
+		f.bms = append(f.bms, n.bm)
 	}
 	nc := cfg.Stream.Cohorts
 	if nc < 1 {
@@ -462,21 +429,11 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		f.cohortCPUs[i] = make([]float64, 0, len(f.nodes)*cfg.WindowSize)
 	}
 	f.fleetHist = obs.NewHistogram("fleet.latency.ns")
-	f.res.Policy = cfg.Policy.String()
+	f.res.Policy = string(cfg.Policy)
 	f.active = len(f.nodes)
 	if cfg.Policy == FleetScaleOut {
 		f.active = 1
 	}
-
-	f.mergePats = make([][]float64, mcap)
-	for i := range f.mergePats {
-		f.mergePats[i] = make([]float64, 0, longest)
-	}
-	f.mergeCPUs = make([]float64, 0, mcap)
-	f.mergeTypes = make([]string, 0, mcap)
-	f.mergePM = signature.NewPatternMatrix(mcap, longest)
-	f.mergeRNG = sim.NewRNG(0)
-
 	if c := cfg.Obs; c != nil {
 		c.RegisterHistogram(f.fleetHist)
 		for _, n := range f.nodes {
@@ -535,53 +492,34 @@ func (f *Fleet) runTick(ingest bool) int {
 		}
 		f.res.CompactionRounds++
 		if f.cfg.MergeEvery > 0 && f.res.CompactionRounds%uint64(f.cfg.MergeEvery) == 0 {
-			f.mergeBanks()
+			f.merge()
 		}
 	}
 	return arrivals
 }
 
 // ingest routes stream arrivals up to the tick boundary through the
-// placement policy.
+// placement policy. Placement reads every arrival's predicted class, so
+// every injected anomaly counts, shed or not.
 func (f *Fleet) ingest(tickEnd int64) int {
 	var n int
 	for {
-		if !f.havePending {
-			f.stream.Next(&f.pending)
-			f.havePending = true
-		}
-		if f.pending.TimeNs >= tickEnd {
+		rec, timeNs, seq, ok := f.in.next(tickEnd)
+		if !ok {
 			return n
 		}
-		a := f.pending
-		f.havePending = false
 		n++
 		f.res.Arrivals++
 		f.cArrivals.Add(1)
-
-		tmpls := f.tmpl[a.App]
-		t := int((a.Bits >> 8) % uint64(len(tmpls)))
-		anom := isAnomalous(a.Bits)
-		cohort := f.cfg.Stream.CohortOf(a.Bits)
-		drift := f.stream.CohortDriftAt(a.TimeNs, cohort)
-		cpu := tmpls[t].cpuNs * drift
-		if anom {
-			cpu *= anomalyCPUFactor
+		if rec.anom {
 			f.res.Injected++
 		}
 		r := fleetReq{
-			id:        f.nextID,
-			arrivalNs: a.TimeNs,
-			remIns:    tmpls[t].ins,
-			drift:     drift,
-			cpuNs:     cpu,
-			app:       int32(a.App),
-			tmpl:      int32(t),
-			cohort:    int32(cohort),
-			anom:      anom,
-			predHigh:  cpu > f.fleetThresholds[cohort],
+			reqRec:    rec,
+			arrivalNs: timeNs,
+			remIns:    f.in.tmpl[rec.app][rec.tmpl].ins,
+			predHigh:  rec.cpuNs > f.fleetThresholds[rec.cohort],
 		}
-		f.nextID++
 		node, core := f.place(&r)
 		nd := f.nodes[node]
 		c := &nd.cores[core]
@@ -597,6 +535,9 @@ func (f *Fleet) ingest(tickEnd int64) int {
 			nd.res.Degraded++
 			f.cDegraded.Add(1)
 		}
+		// Degraded requests skip identification entirely — that is what the
+		// degraded tier buys — so they are never scored or flagged.
+		r.scored = !r.degraded && seq%uint64(f.cfg.ScoreSampleEvery) == 0
 		c.push(r)
 		if r.predHigh {
 			f.pkgs[c.pkg].queuedHigh++
@@ -726,7 +667,7 @@ func (f *Fleet) snapshotRates() {
 				continue
 			}
 			r := &c.q[c.head]
-			c.act = f.tmpl[r.app][r.tmpl].act
+			c.act = f.in.tmpl[r.app][r.tmpl].act
 			c.act.RefsPerIns *= r.drift
 			if r.anom {
 				// Injected anomalies behave as cache polluters.
@@ -807,10 +748,8 @@ func (f *Fleet) completeFleet(pkg *fleetPkg, nd *fleetNode, r *fleetReq, doneNs 
 	}
 	nd.hist.Observe(lat)
 	f.fleetHist.Observe(lat)
-	// Degraded requests skip identification entirely — that is what the
-	// degraded tier buys — so they are never scored or flagged.
-	if !r.degraded && r.id%uint64(f.cfg.ScoreSampleEvery) == 0 {
-		f.patBuf = appendPattern(f.patBuf[:0], f.tmpl[r.app][r.tmpl].pattern, r.drift, r.anom)
+	if r.scored {
+		f.patBuf = appendPattern(f.patBuf[:0], f.in.tmpl[r.app][r.tmpl].pattern, r.drift, r.anom)
 		_, dist := nd.bm.cols.Identify(f.patBuf)
 		score := dist / float64(len(f.patBuf))
 		pkg.tally.scoreSum += score
@@ -821,9 +760,7 @@ func (f *Fleet) completeFleet(pkg *fleetPkg, nd *fleetNode, r *fleetReq, doneNs 
 			}
 		}
 	}
-	nd.bm.push(winRec{
-		app: r.app, tmpl: r.tmpl, cohort: r.cohort, anom: r.anom, drift: r.drift, cpuNs: r.cpuNs,
-	})
+	nd.bm.push(r.reqRec)
 }
 
 // aggregate folds package tallies in (node, package) order — which is
@@ -849,34 +786,13 @@ func (f *Fleet) aggregate() {
 	f.res.Ticks++
 }
 
-// mergeBanks concatenates every node's bank in node order, reclusters the
-// union to BankK medoids, and installs the merged bank on every node —
-// the fleet's gossip step, collapsed to one deterministic serial
-// operation. Node thresholds recalibrate against the merged bank, and the
-// per-cohort high-usage thresholds refresh from the windows' cohort
-// medians.
-func (f *Fleet) mergeBanks() {
-	var m int
-	for _, n := range f.nodes {
-		for _, e := range n.bm.bank.Entries {
-			if m == len(f.mergePats) {
-				break
-			}
-			f.mergePats[m] = append(f.mergePats[m][:0], e.Pattern...)
-			f.mergeCPUs = append(f.mergeCPUs, e.CPUTimeNs)
-			f.mergeTypes = append(f.mergeTypes, e.Type)
-			m++
-		}
-	}
-	if m == 0 {
-		return
-	}
-	f.mergePM.Fill(&f.mergeDM, f.mergePats[:m])
-	f.mergeRNG.Reseed(f.cfg.Stream.Seed + int64(f.res.Merges))
-	cres := f.mergeCSC.KMedoids(&f.mergeDM, cluster.Config{K: min(f.cfg.BankK, m), Rand: f.mergeRNG})
-	for _, n := range f.nodes {
-		n.bm.install(cres.Medoids, f.mergePats, f.mergeCPUs, f.mergeTypes)
-	}
+// merge is the fleet's gossip step, collapsed to one deterministic serial
+// operation: mergeBanks reclusters the nodes' banks, in node order, to
+// BankK medoids, installs the merged bank on every node and recalibrates
+// each node's threshold against it. Then the per-cohort high-usage
+// thresholds refresh from the windows' cohort medians.
+func (f *Fleet) merge() {
+	mergeBanks(f.bms, f.cfg.Stream.Seed+int64(f.res.Merges))
 	// Per-cohort admission thresholds: the median request cost of each
 	// cohort across every node's current window, in node order. Cohorts
 	// with no windowed completions fall back to the merged bank's median.
@@ -896,8 +812,6 @@ func (f *Fleet) mergeBanks() {
 			f.fleetThresholds[ci] = f.nodes[0].bm.bank.ThresholdNs
 		}
 	}
-	f.mergeCPUs = f.mergeCPUs[:0]
-	f.mergeTypes = f.mergeTypes[:0]
 	f.res.Merges++
 	f.cMerges.Add(1)
 }
@@ -1013,7 +927,7 @@ func (r FleetResult) String() string {
 	fmt.Fprintf(&b, "  fleet CPI %.4f, p99 %.3fms\n", r.CPI, r.P99Ns/1e6)
 	fmt.Fprintf(&b, "  anomalies: injected %d, flagged %d (hits %d)\n", r.Injected, r.Flagged, r.FlaggedInjected)
 	fmt.Fprintf(&b, "  banks: %d compaction rounds, %d merges\n", r.CompactionRounds, r.Merges)
-	if r.Policy == FleetScaleOut.String() {
+	if r.Policy == string(FleetScaleOut) {
 		fmt.Fprintf(&b, "  scale: %d ups, %d downs, %d/%d nodes active\n", r.ScaleUps, r.ScaleDowns, r.ActiveNodes, len(r.Nodes))
 	}
 	for _, n := range r.Nodes {

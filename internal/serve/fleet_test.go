@@ -79,7 +79,7 @@ func TestFleetLifecycle(t *testing.T) {
 		cfg := smallFleetConfig(7)
 		cfg.Policy = pol
 		res := runFleet(t, cfg, 40_000)
-		if res.Policy != pol.String() {
+		if res.Policy != string(pol) {
 			t.Fatalf("policy label %q", res.Policy)
 		}
 		if res.Arrivals < 40_000 {
@@ -197,6 +197,23 @@ func TestFleetContentionEasingHelps(t *testing.T) {
 	}
 }
 
+// TestFleetFirstMergeAllocs: a fresh fleet's first merge allocates
+// nothing. It gathers every node's whole template-library bank, more
+// candidates than a window holds, into the first node's maintainer, whose
+// candidate scratch is sized for them.
+func TestFleetFirstMergeAllocs(t *testing.T) {
+	f, err := NewFleet(smallFleetConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := mallocsOnce(f.merge); allocs != 0 {
+		t.Fatalf("first merge allocates %v objects, want 0", allocs)
+	}
+	if f.res.Merges != 1 || len(f.nodes[0].bm.bank.Entries) != f.cfg.BankK {
+		t.Fatalf("merge did not run: %d merges, %d entries", f.res.Merges, len(f.nodes[0].bm.bank.Entries))
+	}
+}
+
 // TestFleetSteadyStateAllocs: after warmup, processing allocates nothing
 // — the fleet must be able to absorb millions of requests with stable
 // memory — across compactions and merges, each of which rewrites node
@@ -225,7 +242,7 @@ func TestFleetConfigValidation(t *testing.T) {
 	}{
 		{func(c *FleetConfig) { c.Nodes = nil }, "FleetConfig.Nodes"},
 		{func(c *FleetConfig) { c.Nodes[1].Packages[0].Cores = 0 }, "FleetConfig.Nodes[1]"},
-		{func(c *FleetConfig) { c.Policy = FleetPolicy(9) }, "FleetConfig.Policy"},
+		{func(c *FleetConfig) { c.Policy = "fifo" }, "FleetConfig.Policy"},
 		{func(c *FleetConfig) { c.TickNs = 0 }, "FleetConfig.TickNs"},
 		{func(c *FleetConfig) { c.QueueCap = -1 }, "FleetConfig.QueueCap"},
 		{func(c *FleetConfig) { c.DegradeDepth = 0 }, "FleetConfig.DegradeDepth"},
@@ -266,6 +283,14 @@ func TestFleetConfigValidation(t *testing.T) {
 		t.Fatalf("zero values should take the defaults (1, 2, 0.25, 25), got (%d, %g, %g, %d), %v",
 			got.ScoreSampleEvery, got.ScaleHighWater, got.ScaleLowWater, got.ScaleCooldownTicks, err)
 	}
+	// A zero Policy runs round-robin: its run equals an explicit one's.
+	zero := smallFleetConfig(1)
+	zero.Policy = ""
+	rr := smallFleetConfig(1)
+	rr.Policy = FleetRoundRobin
+	if a, b := runFleet(t, zero, 5000), runFleet(t, rr, 5000); a.Policy != string(FleetRoundRobin) || !reflect.DeepEqual(a, b) {
+		t.Fatalf("zero Policy run differs from round-robin:\n%v\nvs\n%v", a, b)
+	}
 }
 
 // TestFleetSingleNodeDegenerate: a one-node fleet is valid and behaves.
@@ -286,22 +311,23 @@ func TestFleetSingleNodeDegenerate(t *testing.T) {
 func TestFleetCoreRing(t *testing.T) {
 	const capacity = 5
 	c := fleetCore{q: make([]fleetReq, capacity)}
-	var next, oldest uint64 // ids pushed so far; id of the queue head
+	// Each request's arrivalNs serves as its id.
+	var next, oldest int64 // ids pushed so far; id of the queue head
 	push := func(k int) {
 		t.Helper()
 		for ; k > 0; k-- {
 			if c.full() {
 				t.Fatalf("full at %d of %d requests", c.n, capacity)
 			}
-			c.push(fleetReq{id: next})
+			c.push(fleetReq{arrivalNs: next})
 			next++
 		}
 	}
 	check := func() {
 		t.Helper()
 		for i := 0; i < c.n; i++ {
-			if got := c.at(i).id; got != oldest+uint64(i) {
-				t.Fatalf("head %d, slot %d holds request %d, want %d", c.head, i, got, oldest+uint64(i))
+			if got := c.at(i).arrivalNs; got != oldest+int64(i) {
+				t.Fatalf("head %d, slot %d holds request %d, want %d", c.head, i, got, oldest+int64(i))
 			}
 		}
 	}
@@ -314,7 +340,7 @@ func TestFleetCoreRing(t *testing.T) {
 			t.Fatalf("round %d: full() = %v with %d of %d queued", round, c.full(), c.n, capacity)
 		}
 		c.drop(step.drop)
-		oldest += uint64(step.drop)
+		oldest += int64(step.drop)
 		check()
 		if c.head < 0 || c.head >= capacity {
 			t.Fatalf("round %d: head %d outside [0, %d)", round, c.head, capacity)
@@ -400,10 +426,10 @@ func TestFleetNodeMatchesMachine(t *testing.T) {
 	// Core 3 stays idle. Core 2 carries an injected anomaly, so its cache
 	// demand is inflated as a polluter.
 	occupants := map[int]fleetReq{
-		0: {app: 1, tmpl: 0, drift: 1.1, remIns: 1e6},
-		1: {app: 2, tmpl: 3, drift: 0.9, remIns: 1e6},
-		2: {app: 1, tmpl: 5, drift: 1, anom: true, remIns: 1e6},
-		4: {app: 0, tmpl: 2, drift: 1.05, remIns: 1e6},
+		0: {reqRec: reqRec{app: 1, tmpl: 0, drift: 1.1}, remIns: 1e6},
+		1: {reqRec: reqRec{app: 2, tmpl: 3, drift: 0.9}, remIns: 1e6},
+		2: {reqRec: reqRec{app: 1, tmpl: 5, drift: 1, anom: true}, remIns: 1e6},
+		4: {reqRec: reqRec{app: 0, tmpl: 2, drift: 1.05}, remIns: 1e6},
 	}
 	// runMachine runs the occupants on a machine.Machine of topology tp.
 	runMachine := func(tp machine.Topology) *machine.Machine {
@@ -411,7 +437,7 @@ func TestFleetNodeMatchesMachine(t *testing.T) {
 		mc.Topology = tp
 		m := machine.New(sim.NewEngine(), mc)
 		for ci, r := range occupants {
-			a := f.tmpl[r.app][r.tmpl].act
+			a := f.in.tmpl[r.app][r.tmpl].act
 			a.RefsPerIns *= r.drift
 			if r.anom {
 				a.RefsPerIns *= anomalyPatFactor

@@ -9,31 +9,17 @@ import (
 // registry is an ordered slice, not a map, so listings and error messages
 // render in a stable order.
 type FleetPolicyInfo struct {
-	// Policy is the enum value the fleet engine switches on.
+	// Policy is the policy, whose value is its canonical flag-facing name.
 	Policy FleetPolicy
-	// Name is the canonical flag-facing name (the String() form).
-	Name string
 	// Aliases are accepted spellings beyond the canonical name.
 	Aliases []string
 }
 
 // fleetPolicies is the registry, in presentation order.
 var fleetPolicies = []FleetPolicyInfo{
-	{
-		Policy:  FleetRoundRobin,
-		Name:    FleetRoundRobin.String(),
-		Aliases: []string{"rr"},
-	},
-	{
-		Policy:  FleetContentionEase,
-		Name:    FleetContentionEase.String(),
-		Aliases: []string{"ease"},
-	},
-	{
-		Policy:  FleetScaleOut,
-		Name:    FleetScaleOut.String(),
-		Aliases: []string{"scale"},
-	},
+	{Policy: FleetRoundRobin, Aliases: []string{"rr"}},
+	{Policy: FleetContentionEase, Aliases: []string{"ease"}},
+	{Policy: FleetScaleOut, Aliases: []string{"scale"}},
 }
 
 // FleetPolicies returns the registered fleet policies in stable order. The
@@ -44,7 +30,7 @@ func FleetPolicies() []FleetPolicyInfo { return fleetPolicies }
 func FleetPolicyNames() []string {
 	names := make([]string, len(fleetPolicies))
 	for i, p := range fleetPolicies {
-		names[i] = p.Name
+		names[i] = string(p.Policy)
 	}
 	return names
 }
@@ -52,8 +38,9 @@ func FleetPolicyNames() []string {
 // ParseFleetPolicy resolves a canonical name or alias to its policy. The
 // error quotes the unknown name and lists the valid spellings.
 func ParseFleetPolicy(name string) (FleetPolicy, error) {
+	var valid []string
 	for _, p := range fleetPolicies {
-		if name == p.Name {
+		if name == string(p.Policy) {
 			return p.Policy, nil
 		}
 		for _, a := range p.Aliases {
@@ -61,11 +48,8 @@ func ParseFleetPolicy(name string) (FleetPolicy, error) {
 				return p.Policy, nil
 			}
 		}
-	}
-	var valid []string
-	for _, p := range fleetPolicies {
-		valid = append(valid, p.Name)
+		valid = append(valid, string(p.Policy))
 		valid = append(valid, p.Aliases...)
 	}
-	return 0, fmt.Errorf("serve: unknown fleet policy %q (valid: %s)", name, strings.Join(valid, ", "))
+	return "", fmt.Errorf("serve: unknown fleet policy %q (valid: %s)", name, strings.Join(valid, ", "))
 }

@@ -13,11 +13,6 @@ func TestFleetPolicyRegistry(t *testing.T) {
 	if got := FleetPolicyNames(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("FleetPolicyNames() = %v, want %v", got, want)
 	}
-	for _, p := range FleetPolicies() {
-		if p.Name != p.Policy.String() {
-			t.Fatalf("policy %q name disagrees with String() %q", p.Name, p.Policy)
-		}
-	}
 	cases := map[string]FleetPolicy{
 		"round-robin":       FleetRoundRobin,
 		"rr":                FleetRoundRobin,

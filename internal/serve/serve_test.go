@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/obs"
 	"repro/internal/workload"
@@ -254,6 +255,34 @@ func TestEngineTimesIdentifyOnlyWithCollector(t *testing.T) {
 	}
 	if _, th2 := runWith(obs.New("test")); th2.Count() != th.Count() {
 		t.Fatalf("timed identify calls differ across attached runs: %d vs %d", th2.Count(), th.Count())
+	}
+}
+
+// TestEngineHonorsCohorts: the engine resolves arrivals through the same
+// intake as the fleet, so stream cohorts fan out its drift too. One seed
+// run with and without four cohorts must give different results.
+func TestEngineHonorsCohorts(t *testing.T) {
+	plain := testConfig(6)
+	plain.Stream.DriftPerSec = 1
+	cohorts := plain
+	cohorts.Stream.Cohorts, cohorts.Stream.CohortSpread = 4, 0.75
+	if a, b := run(t, plain, 30_000), run(t, cohorts, 30_000); reflect.DeepEqual(a, b) {
+		t.Fatalf("four cohorts left the result unchanged: %+v", a)
+	}
+}
+
+// TestQueueEntrySizes: queued requests are moved by value through every
+// queue, so embedding reqRec must not grow them past their hand-packed
+// sizes on a 64-bit platform.
+func TestQueueEntrySizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(req{}); got > 48 {
+		t.Errorf("req is %d bytes, want at most 48", got)
+	}
+	if got := unsafe.Sizeof(fleetReq{}); got > 56 {
+		t.Errorf("fleetReq is %d bytes, want at most 56", got)
 	}
 }
 

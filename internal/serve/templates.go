@@ -1,13 +1,18 @@
-// Behavior templates: the bridge from the workload generators to the
-// streaming pipeline. Running the full simulated kernel per arrival would
-// cap throughput far below service rates, so the engine pre-generates a
-// library of representative requests per application and derives each
-// arrival's behavior from a template plus the arrival's jitter bits —
-// exactly the information a production system would observe as the
-// request's hardware-counter pattern. Patterns are the paper's signature
-// metric (L2 references per instruction) resampled into the application's
-// progress buckets; CPU time comes from the calibrated cache model's CPI
-// over the solo miss ratio.
+// Behavior templates and the arrival intake: the bridge from the workload
+// generators to the streaming pipeline. Running the full simulated kernel
+// per arrival would cap throughput far below service rates, so each owner
+// pre-generates a library of representative requests per application and
+// derives each arrival's behavior from a template plus the arrival's
+// jitter bits — exactly the information a production system would observe
+// as the request's hardware-counter pattern. Patterns are the paper's
+// signature metric (L2 references per instruction) resampled into the
+// application's progress buckets; CPU time comes from the calibrated cache
+// model's CPI over the solo miss ratio.
+//
+// The intake is the one front end the engine and the fleet share: it
+// reads the stream up to a tick boundary and resolves each arrival's bits
+// into a reqRec. What happens next (shedding, degrading, placement and the
+// Injected count) stays with each owner.
 package serve
 
 import (
@@ -59,21 +64,22 @@ func templateBucketIns(app string) float64 {
 }
 
 // buildTemplates generates the per-app template libraries for the stream's
-// mix. Template t of app a is a pure function of (seed, a, t).
-func buildTemplates(cfg Config) ([][]template, error) {
+// mix, perApp templates each, patterns capped at maxLen buckets. Template t
+// of app a is a pure function of (seed, a, t).
+func buildTemplates(sc workload.StreamConfig, perApp, maxLen int) ([][]template, error) {
 	mc := machine.DefaultConfig()
-	out := make([][]template, len(cfg.Stream.Apps))
-	for ai, sa := range cfg.Stream.Apps {
+	out := make([][]template, len(sc.Apps))
+	for ai, sa := range sc.Apps {
 		app, err := workload.ByName(sa.Name)
 		if err != nil {
 			return nil, err
 		}
 		bucket := templateBucketIns(sa.Name)
-		g := sim.ForkLabeled(cfg.Stream.Seed, "serve-templates-"+sa.Name)
-		ts := make([]template, cfg.TemplatesPerApp)
+		g := sim.ForkLabeled(sc.Seed, "serve-templates-"+sa.Name)
+		ts := make([]template, perApp)
 		for t := range ts {
 			req := app.NewRequest(uint64(t), g)
-			ts[t] = requestTemplate(req, bucket, cfg.MaxPatternLen, mc)
+			ts[t] = requestTemplate(req, bucket, maxLen, mc)
 			if len(ts[t].pattern) == 0 {
 				return nil, fmt.Errorf("serve: app %s produced an empty template", sa.Name)
 			}
@@ -150,8 +156,81 @@ const (
 	anomalyCPUFactor = 1.8
 )
 
-// isAnomalous reports whether the arrival's jitter bits inject an anomaly.
-func isAnomalous(bits uint64) bool { return bits&anomalyMask == 0 }
+// reqRec is what a request is, fixed at admission: a pure function of its
+// arrival and the template library. Queued requests embed it, and the
+// sliding window stores it as it is, since compaction rematerializes the
+// full pattern from these fields. The arrival time stays outside it: the
+// window never reads it.
+type reqRec struct {
+	drift  float64
+	cpuNs  float64 // solo CPU cost, stretched for an injected anomaly
+	app    int32
+	tmpl   int32
+	cohort int32 // arrival cohort (0 without cohorts)
+	anom   bool
+}
+
+// intake is the stream front end of an engine or a fleet: the arrival
+// stream, the template library, the arrival read past the last tick
+// boundary, and the sequence number of the next arrival.
+type intake struct {
+	sc          workload.StreamConfig
+	stream      *workload.Stream
+	tmpl        [][]template
+	pending     workload.Arrival
+	havePending bool
+	seq         uint64
+}
+
+// newIntake builds the stream and its template library.
+func newIntake(sc workload.StreamConfig, templatesPerApp, maxPatternLen int) (intake, error) {
+	stream, err := workload.NewStream(sc)
+	if err != nil {
+		return intake{}, err
+	}
+	tmpl, err := buildTemplates(sc, templatesPerApp, maxPatternLen)
+	if err != nil {
+		return intake{}, err
+	}
+	return intake{sc: sc, stream: stream, tmpl: tmpl}, nil
+}
+
+// next consumes the next arrival if it lands before tickEnd and returns
+// its record, its time, and its sequence number: the count of arrivals
+// consumed before it. The record resolves the arrival's bits: the template
+// from Bits>>8, the anomaly flag from the low byte, the cohort and its
+// drift at the arrival time, and the solo CPU cost.
+func (in *intake) next(tickEnd int64) (rec reqRec, timeNs int64, seq uint64, ok bool) {
+	if !in.havePending {
+		in.stream.Next(&in.pending)
+		in.havePending = true
+	}
+	a := &in.pending
+	if a.TimeNs >= tickEnd {
+		return rec, 0, 0, false
+	}
+	in.havePending = false
+	seq = in.seq
+	in.seq++
+	tmpls := in.tmpl[a.App]
+	t := int((a.Bits >> 8) % uint64(len(tmpls)))
+	anom := a.Bits&anomalyMask == 0
+	cohort := in.sc.CohortOf(a.Bits)
+	drift := in.stream.CohortDriftAt(a.TimeNs, cohort)
+	cpu := tmpls[t].cpuNs * drift
+	if anom {
+		cpu *= anomalyCPUFactor
+	}
+	rec = reqRec{
+		drift:  drift,
+		cpuNs:  cpu,
+		app:    int32(a.App),
+		tmpl:   int32(t),
+		cohort: int32(cohort),
+		anom:   anom,
+	}
+	return rec, a.TimeNs, seq, true
+}
 
 // patternValue is bucket i of a request's materialized pattern: the
 // template value under the request's drift factor, inflated in the second
