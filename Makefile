@@ -118,6 +118,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDTW$$' -fuzztime $(FUZZTIME) ./internal/verify/
 	$(GO) test -run '^$$' -fuzz '^FuzzSignatureMatch$$' -fuzztime $(FUZZTIME) ./internal/verify/
 	$(GO) test -run '^$$' -fuzz '^FuzzPatternMatrix$$' -fuzztime $(FUZZTIME) ./internal/verify/
+	$(GO) test -run '^$$' -fuzz '^FuzzKMedoids$$' -fuzztime $(FUZZTIME) ./internal/verify/
 	$(GO) test -run '^$$' -fuzz '^FuzzFingerprintStability$$' -fuzztime $(FUZZTIME) ./internal/verify/
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamSpec$$' -fuzztime $(FUZZTIME) ./internal/verify/
 	$(GO) test -run '^$$' -fuzz '^FuzzTopologySpec$$' -fuzztime $(FUZZTIME) ./internal/verify/

@@ -114,8 +114,8 @@ func TestRepoFindingsAreStructurallyValid(t *testing.T) {
 	if code := run([]string{"-dir", "../../hypotheses", "-run=false"}, &out, &errOut); code != 0 {
 		t.Fatalf("committed findings invalid (exit %d):\n%s", code, errOut.String())
 	}
-	if !strings.Contains(out.String(), "2/2") {
-		t.Fatalf("expected 2 committed findings:\n%s", out.String())
+	if !strings.Contains(out.String(), "3/3") {
+		t.Fatalf("expected 3 committed findings:\n%s", out.String())
 	}
 }
 

@@ -6,7 +6,6 @@ package cluster
 
 import (
 	"math"
-	"slices"
 
 	"repro/internal/distance"
 	"repro/internal/sim"
@@ -95,18 +94,22 @@ type Scratch struct {
 	offs    []int       // cluster c's group is members[offs[c]:offs[c+1]]
 	cursor  []int       // per-cluster write positions while grouping
 	rows    [][]float64 // rows[i] is dm.Row(i)
+	near    []float64   // seeding: each item's distance to its nearest medoid
+	isMed   []bool      // isMed[i] reports whether item i is a current medoid
 }
 
 // Reserve grows the scratch for runs over up to n items in up to k
 // clusters, so that such runs allocate nothing. It invalidates the Result
 // of an earlier run.
 func (sc *Scratch) Reserve(n, k int) {
-	sc.rows = slices.Grow(sc.rows[:0], n)
-	sc.res.Medoids = growInts(sc.res.Medoids, k)
-	sc.res.Assign = growInts(sc.res.Assign, n)
-	sc.members = growInts(sc.members, n)
-	sc.offs = growInts(sc.offs, k+1)
-	sc.cursor = growInts(sc.cursor, k)
+	sc.rows = grow(sc.rows, n)
+	sc.res.Medoids = grow(sc.res.Medoids, k)
+	sc.res.Assign = grow(sc.res.Assign, n)
+	sc.members = grow(sc.members, n)
+	sc.offs = grow(sc.offs, k+1)
+	sc.cursor = grow(sc.cursor, k)
+	sc.near = grow(sc.near, n)
+	sc.isMed = grow(sc.isMed, n)
 }
 
 // abandonEvery is how many members the medoid update adds to a
@@ -126,17 +129,11 @@ func (sc *Scratch) KMedoids(dm *distance.Matrix, cfg Config) *Result {
 		cfg.MaxIterations = 50
 	}
 	n := dm.N()
-	k := cfg.K
-	if k > n {
-		k = n
-	}
+	k := min(cfg.K, n)
+	sc.Reserve(n, k)
 	// Distances are read through row views of the triangle: at(i, j) is
 	// dm.At(i, j) without recomputing the row offset on every read, and the
 	// update step hoists the candidate's row.
-	if cap(sc.rows) < n {
-		sc.rows = make([][]float64, n)
-	}
-	sc.rows = sc.rows[:n]
 	nonNeg := true
 	for i := range sc.rows {
 		sc.rows[i] = dm.Row(i)
@@ -145,45 +142,46 @@ func (sc *Scratch) KMedoids(dm *distance.Matrix, cfg Config) *Result {
 
 	// Initialization: greedy k-means++-style spread using a seeded stream —
 	// the first medoid is random; each next maximizes distance to chosen.
+	// near[i] is item i's distance to its nearest chosen medoid, folded in
+	// one medoid at a time: the same < comparisons, in the same order, as
+	// rescanning every chosen medoid, so NaN and ties resolve identically.
 	g := cfg.Rand
 	if g == nil {
 		g = sim.NewRNG(cfg.Seed)
 	}
-	medoids := growInts(sc.res.Medoids, k)[:0]
+	near, isMed := sc.near, sc.isMed
+	for i := range near {
+		near[i], isMed[i] = math.Inf(1), false
+	}
+	medoids := sc.res.Medoids[:0]
 	if n > 0 {
-		medoids = append(medoids, g.Intn(n))
+		m := g.Intn(n)
+		medoids, isMed[m] = append(medoids, m), true
 	}
 	for len(medoids) < k {
+		last := medoids[len(medoids)-1]
 		best, bestD := -1, -1.0
 		for i := 0; i < n; i++ {
-			if containsInt(medoids, i) {
+			if isMed[i] {
 				continue
 			}
-			d := math.Inf(1)
-			for _, m := range medoids {
-				if v := sc.at(i, m); v < d {
-					d = v
-				}
+			if v := sc.at(i, last); v < near[i] {
+				near[i] = v
 			}
-			if d > bestD {
-				best, bestD = i, d
+			if near[i] > bestD {
+				best, bestD = i, near[i]
 			}
 		}
 		if best < 0 {
 			break
 		}
-		medoids = append(medoids, best)
+		medoids, isMed[best] = append(medoids, best), true
 	}
 
-	assign := growInts(sc.res.Assign, n)
-	for i := range assign {
-		assign[i] = 0
-	}
-	sc.members = growInts(sc.members, n)
-	sc.offs = growInts(sc.offs, k+1)
-	sc.cursor = growInts(sc.cursor, k)
+	assign := sc.res.Assign
+	clear(assign)
 	res := &sc.res
-	res.Medoids, res.Assign, res.Iterations = medoids, assign, 0
+	res.Medoids, res.Iterations = medoids, 0
 	for iter := 0; iter < cfg.MaxIterations; iter++ {
 		res.Iterations = iter + 1
 		// Assignment step.
@@ -207,9 +205,7 @@ func (sc *Scratch) KMedoids(dm *distance.Matrix, cfg Config) *Result {
 		// each group in ascending item order, matching Result.Members).
 		// Assignments are fixed for the whole update step, so one grouping
 		// serves every cluster.
-		for c := 0; c <= k; c++ {
-			sc.offs[c] = 0
-		}
+		clear(sc.offs[:k+1])
 		for _, a := range assign {
 			sc.offs[a+1]++
 		}
@@ -231,6 +227,7 @@ func (sc *Scratch) KMedoids(dm *distance.Matrix, cfg Config) *Result {
 			members := sc.members[sc.offs[c]:sc.offs[c+1]]
 			if len(members) == 0 {
 				if far := sc.farthestNonMedoid(medoids, assign); far >= 0 && far != medoids[c] {
+					isMed[medoids[c]], isMed[far] = false, true
 					medoids[c] = far
 					moved = true
 				}
@@ -240,7 +237,7 @@ func (sc *Scratch) KMedoids(dm *distance.Matrix, cfg Config) *Result {
 			for ci, cand := range members {
 				// Never adopt another cluster's medoid (reachable only
 				// under exact distance ties): medoid indices stay unique.
-				if cand != medoids[c] && containsInt(medoids, cand) {
+				if cand != medoids[c] && isMed[cand] {
 					continue
 				}
 				// With no negative cell a candidate whose partial sum
@@ -256,6 +253,7 @@ func (sc *Scratch) KMedoids(dm *distance.Matrix, cfg Config) *Result {
 				}
 			}
 			if best != medoids[c] {
+				isMed[medoids[c]], isMed[best] = false, true
 				medoids[c] = best
 				moved = true
 			}
@@ -264,7 +262,6 @@ func (sc *Scratch) KMedoids(dm *distance.Matrix, cfg Config) *Result {
 			break
 		}
 	}
-	res.Medoids = medoids
 	return res
 }
 
@@ -307,13 +304,13 @@ func hasNegative(cells []float64) bool {
 	return false
 }
 
-// growInts returns s resized to length n, reallocating only when the
+// grow returns s resized to length n, reallocating only when the
 // capacity is insufficient. Contents are unspecified.
-func growInts(s []int, n int) []int {
+func grow[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]int, n)
+	return make([]T, n)
 }
 
 // farthestNonMedoid returns the item with the greatest distance to its
@@ -322,7 +319,7 @@ func growInts(s []int, n int) []int {
 func (sc *Scratch) farthestNonMedoid(medoids, assign []int) int {
 	best, bestD := -1, -1.0
 	for i := range sc.rows {
-		if containsInt(medoids, i) {
+		if sc.isMed[i] {
 			continue
 		}
 		if d := sc.at(i, medoids[assign[i]]); d > bestD {
@@ -341,15 +338,6 @@ func (sc *Scratch) at(i, j int) float64 {
 		return sc.rows[j][i-j-1]
 	}
 	return 0
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // Divergence measures classification quality the paper's way (Figure 7):

@@ -6,7 +6,9 @@
 // from the medoids, and recalibrates the anomaly threshold by scoring the
 // same materialized patterns against the new bank. The fleet's merge
 // (mergeBanks) runs the same cluster and rebuild steps over every node's
-// bank entries, gathered into the first node's candidate scratch.
+// bank entries, gathered into the fleet's workspace. A maintainer compacts
+// in a workspace it is handed: the engine's own, or the one all of a
+// fleet's nodes share, since they compact one after another.
 //
 // Every serving scan of the bank (the engine's match reads, calibration,
 // the degraded-path template cache and the fleet's sampled scoring) is a
@@ -22,9 +24,8 @@
 // (i < j) is PatternDistance(pats[i], pats[j]), the older record first
 // (on a merge, the earlier node's entry first). Everything runs in scratch
 // preallocated at the template library's longest pattern, with the
-// candidate buffers, matrix and k-medoids scratch sized for a full window
-// or a whole merge, whichever is larger, so no compaction or merge, not
-// even the first, allocates.
+// workspace sized for a full window or a whole merge, whichever is larger,
+// so no compaction or merge, not even the first, allocates.
 package serve
 
 import (
@@ -100,6 +101,42 @@ func (k tickKnobs) validate(prefix string) error {
 	return nil
 }
 
+// workspace is the scratch a compaction, recalibration or merge works in.
+// pats, cpuOf and typeOf hold the candidates a clustering reads: a
+// rematerialized window (oldest first) or every node's bank entries on a
+// merge. pm fills dm from them. Nothing in it outlives the call that wrote
+// it, so maintainers that never run at once can share one.
+type workspace struct {
+	pats   [][]float64
+	cpuOf  []float64
+	typeOf []string
+	dm     distance.Matrix
+	pm     *signature.PatternMatrix
+	csc    cluster.Scratch
+	rng    *sim.RNG
+	scores []float64
+	cpus   []float64
+}
+
+// newWorkspace sizes a workspace for maintainers with knobs k over a
+// library whose longest pattern is longest, for a full window or mergeCap
+// merged candidates (0 when the owner never merges), whichever is more.
+func newWorkspace(k bankKnobs, longest, mergeCap int) *workspace {
+	n := max(k.WindowSize, mergeCap)
+	w := &workspace{
+		pats:   carveBuffers(n, longest),
+		cpuOf:  make([]float64, n),
+		typeOf: make([]string, n),
+		pm:     signature.NewPatternMatrix(n, longest),
+		rng:    sim.NewRNG(0),
+		scores: make([]float64, 0, k.WindowSize),
+		cpus:   make([]float64, 0, n),
+	}
+	w.dm.Reserve(n)
+	w.csc.Reserve(n, k.BankK)
+	return w
+}
+
 // bankMaintainer owns one signature bank and the window that feeds it.
 // The engine drives it only from its serial phase, while its parallel
 // shard phase reads bank and threshold without writing them. The serial
@@ -125,20 +162,10 @@ type bankMaintainer struct {
 	winLen  int
 	winHead int
 
-	// Pooled scratch. pats, cpuOf and typeOf hold the candidates a
-	// clustering reads: the rematerialized window (oldest first) or, on
-	// the first maintainer of a merge, every node's bank entries. pm fills
-	// dm from them.
-	pats    [][]float64
-	cpuOf   []float64
-	typeOf  []string
-	dm      distance.Matrix
-	pm      *signature.PatternMatrix
-	csc     cluster.Scratch
-	rng     *sim.RNG
-	scores  []float64
-	cpus    []float64
+	// patBufs hold the bank's entry patterns, one buffer per slot.
 	patBufs [][]float64
+	// The compaction workspace, perhaps shared with other maintainers.
+	*workspace
 
 	compactions, recalibrations   uint64
 	cCompactions, cRecalibrations *obs.Counter
@@ -147,10 +174,10 @@ type bankMaintainer struct {
 // newBankMaintainer builds a maintainer whose bank starts as the template
 // library itself — every template of every mix app, in app-then-template
 // order — so identification and CPU prediction work from tick zero. The
-// anomaly threshold stays +Inf until the first calibration. mergeCap is
-// the most candidates a merge gathers (0 when the owner never merges); the
-// candidate scratch covers it as well as a full window.
-func newBankMaintainer(k bankKnobs, tmpl [][]template, apps []workload.StreamApp, seed int64, mergeCap int) *bankMaintainer {
+// anomaly threshold stays +Inf until the first calibration. ws is the
+// workspace it compacts in, sized by newWorkspace for the same knobs and
+// library.
+func newBankMaintainer(k bankKnobs, tmpl [][]template, apps []workload.StreamApp, seed int64, ws *workspace) *bankMaintainer {
 	b := &bankMaintainer{
 		knobs:     k,
 		tmpl:      tmpl,
@@ -159,23 +186,13 @@ func newBankMaintainer(k bankKnobs, tmpl [][]template, apps []workload.StreamApp
 		bank:      &signature.Bank{Metric: metrics.L2RefsPerIns},
 		threshold: math.Inf(1),
 		win:       make([]reqRec, k.WindowSize),
-		rng:       sim.NewRNG(0),
+		workspace: ws,
 	}
-	// Pattern scratch is preallocated at the library's longest template —
-	// no materialized or merged pattern is longer — so window
-	// rematerialization, matrix fills and bank rebuilds never grow a
-	// buffer mid-run.
+	// Pattern buffers, like the workspace's, are preallocated at the
+	// library's longest template — no materialized or merged pattern is
+	// longer — so nothing grows a buffer mid-run.
 	longest := longestPattern(tmpl)
-	n := max(k.WindowSize, mergeCap)
-	b.pats = carveBuffers(n, longest)
 	b.patBufs = carveBuffers(k.BankK, longest)
-	b.pm = signature.NewPatternMatrix(n, longest)
-	b.dm.Reserve(n)
-	b.csc.Reserve(n, k.BankK)
-	b.cpuOf = make([]float64, n)
-	b.typeOf = make([]string, n)
-	b.scores = make([]float64, 0, k.WindowSize)
-	b.cpus = make([]float64, 0, n)
 	for ai := range tmpl {
 		for t := range tmpl[ai] {
 			tm := &tmpl[ai][t]
@@ -250,7 +267,7 @@ func (b *bankMaintainer) compact() bool {
 		return false
 	}
 	b.materialize()
-	b.rebuild(b.medoids(b.winLen, b.seed+int64(b.compactions)), b.pats, b.cpuOf[:b.winLen], b.typeOf)
+	b.rebuild(b.medoids(b.winLen, b.knobs.BankK, b.seed+int64(b.compactions)), b.pats, b.cpuOf[:b.winLen], b.typeOf)
 	// The window is still materialized: rebuild copies the medoids' patterns
 	// out and leaves pats as they were.
 	b.calibrate()
@@ -259,37 +276,36 @@ func (b *bankMaintainer) compact() bool {
 	return true
 }
 
-// medoids clusters the candidates pats[:n] into at most BankK clusters,
-// with k-medoids reseeded from seed, and returns the medoids' candidate
+// medoids clusters the candidates pats[:n] into at most k clusters, with
+// k-medoids reseeded from seed, and returns the medoids' candidate
 // indices. The slice is k-medoids scratch, valid until the next call.
-func (b *bankMaintainer) medoids(n int, seed int64) []int {
-	b.pm.Fill(&b.dm, b.pats[:n])
-	b.rng.Reseed(seed)
-	return b.csc.KMedoids(&b.dm, cluster.Config{K: min(b.knobs.BankK, n), Rand: b.rng}).Medoids
+func (w *workspace) medoids(n, k int, seed int64) []int {
+	w.pm.Fill(&w.dm, w.pats[:n])
+	w.rng.Reseed(seed)
+	return w.csc.KMedoids(&w.dm, cluster.Config{K: min(k, n), Rand: w.rng}).Medoids
 }
 
 // mergeBanks is the fleet's merge. It gathers every maintainer's bank
-// entries, in maintainer order, as candidates into the first maintainer's
-// scratch (sized by its mergeCap), clusters them with seed, rebuilds every
-// bank from the medoids, and only then recalibrates every maintainer. The
-// order matters: the first recalibration rematerializes a window over the
-// candidates, so every rebuild must have copied its entries out first.
+// entries, in maintainer order, as candidates into ws (sized for them),
+// clusters them with seed, rebuilds every bank from the medoids, and only
+// then recalibrates every maintainer. The order matters: a recalibration
+// rematerializes a window into its maintainer's workspace, ws when they
+// share it, so every rebuild must have copied its entries out first.
 // Each recalibration reads only its own maintainer's bank and window.
 // Every bank holds at least one entry, so there is always a candidate.
-func mergeBanks(bms []*bankMaintainer, seed int64) {
-	h := bms[0]
+func mergeBanks(ws *workspace, bms []*bankMaintainer, seed int64) {
 	var n int
 	for _, b := range bms {
 		for _, e := range b.bank.Entries {
-			h.pats[n] = append(h.pats[n][:0], e.Pattern...)
-			h.cpuOf[n] = e.CPUTimeNs
-			h.typeOf[n] = e.Type
+			ws.pats[n] = append(ws.pats[n][:0], e.Pattern...)
+			ws.cpuOf[n] = e.CPUTimeNs
+			ws.typeOf[n] = e.Type
 			n++
 		}
 	}
-	medoids := h.medoids(n, seed)
+	medoids := ws.medoids(n, bms[0].knobs.BankK, seed)
 	for _, b := range bms {
-		b.rebuild(medoids, h.pats, h.cpuOf[:n], h.typeOf)
+		b.rebuild(medoids, ws.pats, ws.cpuOf[:n], ws.typeOf)
 	}
 	for _, b := range bms {
 		b.recalibrate()

@@ -9,15 +9,27 @@ import (
 	"repro/internal/signature"
 )
 
-// newTestMaintainer builds a maintainer over the templates cfg's stream
-// and template knobs produce.
-func newTestMaintainer(t testing.TB, cfg Config, seed int64, mergeCap int) *bankMaintainer {
+// newTestMaintainers builds n maintainers, seeded seed, seed+1, …, over
+// the templates cfg's stream and template knobs produce. Like a fleet's
+// nodes, they share one workspace sized for mergeCap merged entries.
+func newTestMaintainers(t testing.TB, cfg Config, seed int64, n, mergeCap int) []*bankMaintainer {
 	t.Helper()
 	tmpl, err := buildTemplates(cfg.Stream, cfg.TemplatesPerApp, cfg.MaxPatternLen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newBankMaintainer(cfg.bankKnobs(), tmpl, cfg.Stream.Apps, seed, mergeCap)
+	ws := newWorkspace(cfg.bankKnobs(), longestPattern(tmpl), mergeCap)
+	bms := make([]*bankMaintainer, n)
+	for i := range bms {
+		bms[i] = newBankMaintainer(cfg.bankKnobs(), tmpl, cfg.Stream.Apps, seed+int64(i), ws)
+	}
+	return bms
+}
+
+// newTestMaintainer builds one maintainer with a workspace of its own.
+func newTestMaintainer(t testing.TB, cfg Config, seed int64, mergeCap int) *bankMaintainer {
+	t.Helper()
+	return newTestMaintainers(t, cfg, seed, 1, mergeCap)[0]
 }
 
 // syntheticRecs returns n window records cycling over every template, with
@@ -91,9 +103,13 @@ func TestBankSparseWindowRecalibratesOnly(t *testing.T) {
 // that grows on first use. It collects first: a collection that starts
 // around f can allocate on the runtime's behalf (a background mark
 // worker's goroutine in a fresh process), which would count against f.
+// It collects twice: under the race detector at GOMAXPROCS 4, with one
+// collection after the switch to one P, the runtime still allocated one
+// object during f.
 func mallocsOnce(f func()) uint64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	f()
@@ -102,8 +118,8 @@ func mallocsOnce(f func()) uint64 {
 }
 
 // maintainerSize is one owner's bank-maintainer sizing: the engine's, or
-// that of the nodes of a fleet, whose merges gather a whole fleet's
-// concatenated banks.
+// that of the nodes of a fleet, whose shared workspace a merge fills with
+// a whole fleet's concatenated banks.
 type maintainerSize struct {
 	name     string
 	cfg      Config
@@ -131,28 +147,28 @@ func maintainerSizes(fc FleetConfig) []maintainerSize {
 }
 
 // TestBankMaintenanceAllocs: a merge allocates nothing even the first
-// time, when it gathers every maintainer's whole template-library bank and
-// swaps each for a BankK-entry one, rewriting the column stores; and
-// compaction allocates nothing, a fresh maintainer's first one included,
-// at the engine's scratch sizes and at a fleet node's.
+// time, when it gathers every maintainer's whole template-library bank
+// into their shared workspace and swaps each bank for a BankK-entry one,
+// rewriting the column stores; and compaction allocates nothing, a fresh
+// maintainer's first one included, at the engine's scratch sizes and at a
+// fleet node's.
 func TestBankMaintenanceAllocs(t *testing.T) {
 	for _, tc := range maintainerSizes(smallFleetConfig(1)) {
-		group := make([]*bankMaintainer, tc.nodes)
+		group := newTestMaintainers(t, tc.cfg, 3, tc.nodes, tc.mergeCap)
 		var library int
-		for i := range group {
-			group[i] = newTestMaintainer(t, tc.cfg, 3+int64(i), tc.mergeCap)
-			group[i].record(syntheticRecs(group[i], tc.cfg.WindowSize+i))
-			library += len(group[i].bank.Entries)
+		for i, b := range group {
+			b.record(syntheticRecs(b, tc.cfg.WindowSize+i))
+			library += len(b.bank.Entries)
 		}
 		if library <= tc.cfg.WindowSize && tc.nodes > 1 {
 			t.Fatalf("%s: merge gathers %d candidates, want more than a %d-record window", tc.name, library, tc.cfg.WindowSize)
 		}
-		if allocs := mallocsOnce(func() { mergeBanks(group, 7) }); allocs != 0 {
+		if allocs := mallocsOnce(func() { mergeBanks(group[0].workspace, group, 7) }); allocs != 0 {
 			t.Errorf("%s: first merge over %d library entries allocates %v, want 0", tc.name, library, allocs)
 		}
 		// Every node adopts the same merged bank: a rebuild that read the
-		// candidates after a recalibration rematerialized a window over
-		// them would differ.
+		// candidates after a recalibration rematerialized a window into the
+		// shared workspace would differ.
 		for i, b := range group {
 			if len(b.bank.Entries) != tc.cfg.BankK || b.bank.ThresholdNs != group[0].bank.ThresholdNs {
 				t.Fatalf("%s: node %d bank has %d entries, threshold %v", tc.name, i, len(b.bank.Entries), b.bank.ThresholdNs)
@@ -209,7 +225,12 @@ func TestBankCompactMatrixOrientation(t *testing.T) {
 
 // BenchmarkBankCompact times one full-window compaction — materialize, the
 // pairwise matrix fill, k-medoids, the bank rebuild and recalibration — at
-// the engine's and a default fleet node's sizes.
+// the engine's and a default fleet node's sizes, and one fleet-round: every
+// node of a default fleet compacting in turn in the fleet's one workspace.
+//
+// Run with:
+//
+//	go test -run '^$' -bench BenchmarkBankCompact ./internal/serve
 func BenchmarkBankCompact(b *testing.B) {
 	for _, tc := range maintainerSizes(DefaultFleetConfig(1)) {
 		b.Run(tc.name, func(b *testing.B) {
@@ -223,6 +244,22 @@ func BenchmarkBankCompact(b *testing.B) {
 			}
 		})
 	}
+	b.Run("fleet-round", func(b *testing.B) {
+		f, err := NewFleet(DefaultFleetConfig(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i, m := range f.bms {
+			m.record(syntheticRecs(m, 3*f.cfg.WindowSize+i))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, m := range f.bms {
+				m.compact()
+			}
+		}
+	})
 }
 
 // scanSink keeps BenchmarkBankScan's results live.

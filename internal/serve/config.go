@@ -12,9 +12,10 @@
 // changes wall-clock time — each shard's work is independent, and all
 // cross-shard aggregation happens serially in shard order. The steady
 // state allocates nothing: queues and each shard's pattern buffer are
-// preallocated, and compaction runs entirely in pooled scratch
-// (signature.PatternMatrix, cluster.Scratch), as does the bank's column
-// store (signature.Columns), which every serving scan reads.
+// preallocated, compaction runs entirely in one presized workspace per
+// engine or fleet (signature.PatternMatrix, cluster.Scratch), and the
+// bank's column store (signature.Columns), which every serving scan reads,
+// is rewritten in place.
 package serve
 
 import (

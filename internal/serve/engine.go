@@ -109,7 +109,7 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:     cfg,
 		in:      in,
-		bm:      newBankMaintainer(cfg.bankKnobs(), in.tmpl, cfg.Stream.Apps, cfg.Stream.Seed, 0),
+		bm:      newBankMaintainer(cfg.bankKnobs(), in.tmpl, cfg.Stream.Apps, cfg.Stream.Seed, newWorkspace(cfg.bankKnobs(), longestPattern(in.tmpl), 0)),
 		shards:  make([]shardState, cfg.Shards),
 		shift:   uint(64 - log2(cfg.Shards)),
 		workers: cfg.Workers,

@@ -345,6 +345,7 @@ type Fleet struct {
 	in     intake
 	nodes  []*fleetNode
 	bms    []*bankMaintainer // the nodes' maintainers, node order
+	ws     *workspace        // the compaction workspace every node shares
 	pkgs   []*fleetPkg       // all packages, node order
 	patBuf []float64         // pattern scratch for sampled completion scoring
 
@@ -389,16 +390,17 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	}
 	// Scored patterns are templates, so none is longer than the library's
 	// longest template.
-	f := &Fleet{cfg: cfg, in: in, patBuf: make([]float64, 0, longestPattern(in.tmpl))}
-	// A merge gathers at most the concatenation of every node's bank, the
-	// template library or BankK medoids; each maintainer is sized for it.
+	longest := longestPattern(in.tmpl)
+	// Nodes compact one after another, so one workspace serves them all,
+	// sized for a window or a merge of every node's bank (library or BankK).
 	mcap := len(cfg.Nodes) * max(cfg.BankK, cfg.TemplatesPerApp*len(in.tmpl))
+	f := &Fleet{cfg: cfg, in: in, patBuf: make([]float64, 0, longest), ws: newWorkspace(cfg.bankKnobs(), longest, mcap)}
 	for ni, topo := range cfg.Nodes {
 		mc := machine.DefaultConfig()
 		mc.Topology = topo
 		n := &fleetNode{
 			ct: machine.NewContention(mc),
-			bm: newBankMaintainer(cfg.bankKnobs(), in.tmpl, cfg.Stream.Apps, cfg.Stream.Seed+int64(ni)*1_000_003, mcap),
+			bm: newBankMaintainer(cfg.bankKnobs(), in.tmpl, cfg.Stream.Apps, cfg.Stream.Seed+int64(ni)*1_000_003, f.ws),
 		}
 		n.res.Node = ni
 		n.res.Topology = topo.String()
@@ -792,7 +794,7 @@ func (f *Fleet) aggregate() {
 // each node's threshold against it. Then the per-cohort high-usage
 // thresholds refresh from the windows' cohort medians.
 func (f *Fleet) merge() {
-	mergeBanks(f.bms, f.cfg.Stream.Seed+int64(f.res.Merges))
+	mergeBanks(f.ws, f.bms, f.cfg.Stream.Seed+int64(f.res.Merges))
 	// Per-cohort admission thresholds: the median request cost of each
 	// cohort across every node's current window, in node order. Cohorts
 	// with no windowed completions fall back to the merged bank's median.

@@ -199,8 +199,9 @@ func TestFleetContentionEasingHelps(t *testing.T) {
 
 // TestFleetFirstMergeAllocs: a fresh fleet's first merge allocates
 // nothing. It gathers every node's whole template-library bank, more
-// candidates than a window holds, into the first node's maintainer, whose
-// candidate scratch is sized for them.
+// candidates than a window holds, into the fleet's workspace, which is
+// sized for them. Nor does a fresh fleet's first compaction round, every
+// node rebuilding from a full window in that one workspace.
 func TestFleetFirstMergeAllocs(t *testing.T) {
 	f, err := NewFleet(smallFleetConfig(1))
 	if err != nil {
@@ -211,6 +212,66 @@ func TestFleetFirstMergeAllocs(t *testing.T) {
 	}
 	if f.res.Merges != 1 || len(f.nodes[0].bm.bank.Entries) != f.cfg.BankK {
 		t.Fatalf("merge did not run: %d merges, %d entries", f.res.Merges, len(f.nodes[0].bm.bank.Entries))
+	}
+
+	f, err = NewFleet(smallFleetConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range f.bms {
+		b.record(syntheticRecs(b, f.cfg.WindowSize+i))
+	}
+	round := func() {
+		for _, b := range f.bms {
+			b.compact()
+		}
+	}
+	if allocs := mallocsOnce(round); allocs != 0 {
+		t.Fatalf("first compaction round allocates %v objects, want 0", allocs)
+	}
+	for i, b := range f.bms {
+		if b.compactions != 1 {
+			t.Fatalf("node %d: %d compactions, want 1", i, b.compactions)
+		}
+	}
+}
+
+// TestFleetSharesOneWorkspace: every node of a default fleet compacts in
+// the fleet's one workspace, and sharing it changes nothing. A fleet whose
+// nodes each get a private workspace reaches the same banks, thresholds
+// and result through compaction rounds and a merge.
+func TestFleetSharesOneWorkspace(t *testing.T) {
+	run := func(private bool) *Fleet {
+		f, err := NewFleet(DefaultFleetConfig(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, n := range f.nodes {
+			if n.bm.workspace != f.ws || f.bms[i] != n.bm {
+				t.Fatalf("node %d does not compact in the fleet's workspace", i)
+			}
+			if private {
+				n.bm.workspace = newWorkspace(f.cfg.bankKnobs(), longestPattern(f.in.tmpl), 0)
+			}
+		}
+		for f.res.Merges == 0 {
+			f.Process(10_000)
+		}
+		return f
+	}
+	shared, private := run(false), run(true)
+	for i, n := range shared.nodes {
+		p := private.nodes[i].bm
+		if n.bm.compactions == 0 {
+			t.Fatalf("node %d never compacted: the check is vacuous", i)
+		}
+		if !reflect.DeepEqual(n.bm.bank, p.bank) || math.Float64bits(n.bm.threshold) != math.Float64bits(p.threshold) {
+			t.Fatalf("node %d: shared workspace gives bank %d entries, threshold %v; private %d entries, threshold %v",
+				i, len(n.bm.bank.Entries), n.bm.threshold, len(p.bank.Entries), p.threshold)
+		}
+	}
+	if a, b := shared.Result(), private.Result(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("results differ:\nshared  %+v\nprivate %+v", a, b)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/distance"
 	"repro/internal/machine"
 	"repro/internal/signature"
@@ -176,6 +177,51 @@ func FuzzPatternMatrix(f *testing.F) {
 					t.Fatalf("cell (%d,%d) len (%d,%d): column sweep %v, pairwise %v",
 						i, j, len(pats[i]), len(pats[j]), got, want)
 				}
+			}
+		}
+	})
+}
+
+// FuzzKMedoids checks the pooled k-medoids (Scratch.KMedoids) and the
+// one-shot KMedoidsMatrix against referenceKMedoids on adversarial
+// matrices: cells over the signed decode (negative values, ±Inf, NaN),
+// with byte 0x7d decoding to −0. The cell bytes repeat to fill the
+// triangle, so short inputs tie everywhere; odd mode makes every row
+// one value (all-tie rows); k runs up to n+2, past the population. The
+// scratch is reused on a leading sub-population, then the whole one, then
+// the sub-population again, so a run starts from a larger run's leftovers.
+func FuzzKMedoids(f *testing.F) {
+	f.Add([]byte{3, 7, 1, 9, 0x7e, 2}, uint8(9), uint8(3), uint8(0), int64(1))
+	f.Add([]byte{0x7f, 0x80, 0x7d, 0xf0, 0}, uint8(14), uint8(20), uint8(2), int64(5))
+	f.Add([]byte{5}, uint8(12), uint8(4), uint8(1), int64(3))
+	f.Add([]byte{}, uint8(0), uint8(0), uint8(0), int64(0))
+	f.Fuzz(func(t *testing.T, data []byte, nb, kb, mode uint8, seed int64) {
+		n := int(nb % 40)
+		vals := fuzzSignedSeq(data, len(data))
+		for i, b := range data {
+			if b == 0x7d {
+				vals[i] = math.Copysign(0, -1)
+			}
+		}
+		cell := func(i, j int) float64 {
+			if len(vals) == 0 {
+				return 0
+			}
+			if mode&1 != 0 {
+				return vals[i%len(vals)]
+			}
+			return vals[(i*n+j)%len(vals)]
+		}
+		cfg := cluster.Config{K: 1 + int(kb)%(n+3), Seed: seed, MaxIterations: int(mode>>1) % 5}
+		var sc cluster.Scratch
+		for _, m := range []int{n / 2, n, n / 2} {
+			dm := distance.NewMatrix(m, cell, distance.MatrixOptions{Workers: 1})
+			want := referenceKMedoids(dm, cfg)
+			if err := sameClustering(sc.KMedoids(dm, cfg), want); err != nil {
+				t.Fatalf("scratch, n=%d k=%d: %v", m, cfg.K, err)
+			}
+			if err := sameClustering(cluster.KMedoidsMatrix(dm, cfg), want); err != nil {
+				t.Fatalf("one-shot, n=%d k=%d: %v", m, cfg.K, err)
 			}
 		}
 	})
