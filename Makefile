@@ -15,10 +15,13 @@ check: vet maporder build test test-dist bench
 # perfbench is a module of its own, outside ./..., so it is vetted
 # separately: an internal API change that breaks the benchmark fails here.
 # gofmt -l lists every unformatted file under the repo (perfbench included);
-# any output fails the target.
+# any output fails the target. internal/signature has an amd64 assembly
+# kernel; vetting it for arm64 builds the Go-only path every other
+# architecture takes.
 vet:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/signature/
 	cd perfbench && $(GO) vet ./...
 
 # maporder is the deterministic-output audit: no `for … range m` over

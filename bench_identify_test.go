@@ -114,7 +114,6 @@ func BenchmarkIdentifyCompactBank(b *testing.B) {
 	bank, streams := identifyFixture()
 	compact := signature.Compact(bank, 64, 1)
 	matcher := signature.NewMatcher(compact)
-	b.ReportMetric(float64(len(compact.Entries)), "entries")
 	s := matcher.NewSession()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -126,4 +125,5 @@ func BenchmarkIdentifyCompactBank(b *testing.B) {
 			}
 		}
 	}
+	b.ReportMetric(float64(len(compact.Entries)), "entries")
 }

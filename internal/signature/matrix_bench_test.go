@@ -9,7 +9,8 @@ import (
 
 // BenchmarkPatternMatrixFill times one pairwise fill over a compaction
 // window's worth of patterns (512, 2–30 buckets, the default serving
-// template range), by column sweep and pair by pair.
+// template range): by column sweep (the AVX2 kernel where the CPU has
+// it), by column sweep forced onto the Go loop, and pair by pair.
 func BenchmarkPatternMatrixFill(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	pats := make([][]float64, 512)
@@ -20,13 +21,19 @@ func BenchmarkPatternMatrixFill(b *testing.B) {
 		}
 	}
 	var dm distance.Matrix
-	b.Run("column-sweep", func(b *testing.B) {
-		pm := NewPatternMatrix(len(pats), 30)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			pm.Fill(&dm, pats)
+	sweep := func(vector bool) func(b *testing.B) {
+		return func(b *testing.B) {
+			defer func(hw bool) { useAVX2 = hw }(useAVX2)
+			useAVX2 = useAVX2 && vector
+			pm := NewPatternMatrix(len(pats), 30)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pm.Fill(&dm, pats)
+			}
 		}
-	})
+	}
+	b.Run("column-sweep", sweep(true))
+	b.Run("column-sweep-go", sweep(false))
 	b.Run("pairwise", func(b *testing.B) {
 		pair := func(i, j int) float64 { return PatternDistance(pats[i], pats[j]) }
 		b.ReportAllocs()

@@ -118,7 +118,9 @@ func PatternDistance(a, b []float64) float64 {
 // payloads); each row's loops have one trip count and make no calls.
 // Window patterns are a few dozen buckets at most, which makes the
 // per-pair call and loop exits, not the additions, the pairwise fill's
-// cost.
+// cost. Cells are independent, so on amd64 CPUs with AVX2 a row's sweep
+// runs four cells per vector instruction (fillPatternRow), every lane
+// adding the same terms in the same order as the Go loop.
 //
 // A zero PatternMatrix is ready to use; NewPatternMatrix sizes the column
 // store so that fills within its bounds allocate nothing.
@@ -167,12 +169,25 @@ func transpose(cols []float64, n int, pattern func(j int) []float64) ([]float64,
 
 // fillPatternRow sweeps row i of an n-pattern column store: cells[k]
 // accumulates |a[t] − column_t[i+1+k]| over t in order, which is
-// PatternDistance(a, pats[i+1+k]) for a = pats[i]. Four buckets go per
-// pass, each cell's partial sum held in a register across them, so a pass
-// loads and stores every cell once; single-bucket passes finish the
-// pattern.
+// PatternDistance(a, pats[i+1+k]) for a = pats[i]. Where useAVX2 is set,
+// the AVX2 kernel sweeps the leading multiple of four cells, one YMM
+// register per four, and sweepRow the rest; elsewhere sweepRow takes the
+// whole row. Both add the same terms in the same order, so the cells are
+// bit-identical either way.
 func fillPatternRow(cells, a, cols []float64, n, i int) {
 	clear(cells)
+	if useAVX2 {
+		m4 := sweepRowAVX2(cells, a, cols, n, i)
+		cells, i = cells[m4:], i+m4
+	}
+	sweepRow(cells, a, cols, n, i)
+}
+
+// sweepRow is fillPatternRow's Go sweep over zeroed cells. Four buckets
+// go per pass, each cell's partial sum held in a register across them, so
+// a pass loads and stores every cell once; single-bucket passes finish
+// the pattern.
+func sweepRow(cells, a, cols []float64, n, i int) {
 	m := len(cells)
 	t := 0
 	for ; t+4 <= len(a); t += 4 {
